@@ -187,10 +187,10 @@ class ArthurParameter:
 
     def attached_partition(self) -> Partition:
         """The partition of 2n+1 with each multiplicity repeated rank times."""
-        values: list[int] = []
+        rows: dict[int, int] = {}
         for s in self._summands:
-            values.extend([s.mult] * s.rank)
-        return Partition(values)
+            rows[s.mult] = rows.get(s.mult, 0) + s.rank
+        return Partition._from_runs(sorted(rows.items(), reverse=True))
 
     def dual_partition(self) -> Partition:
         """Dual of the attached partition: a symplectic partition of 2n."""

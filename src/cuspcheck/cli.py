@@ -230,13 +230,14 @@ def _run_analyze(args) -> str:
 
 def _run_bounds(args) -> str:
     psi = parse_parameter(args.parameter)
-    report = bounds(psi)
+    eta = psi.dual_partition()
+    report = bounds(psi, eta)
     if args.format == "json":
         return _json_text(
             {
                 "n": psi.n,
                 "p_psi": str(psi.attached_partition()),
-                "eta": str(psi.dual_partition()),
+                "eta": str(eta),
                 "bounds": report.to_dict(),
             }
         )
@@ -245,7 +246,7 @@ def _run_bounds(args) -> str:
             ("parameter", render_parameter(psi)),
             ("n", str(psi.n)),
             ("p_psi", str(psi.attached_partition())),
-            ("eta", str(psi.dual_partition())),
+            ("eta", str(eta)),
             ("N_a", str(report.n_a)),
             ("N1", f"{report.n1}  witness {report.n1_witness}"),
             ("N2", f"{report.n2}  witness {report.n2_witness}"),
@@ -349,8 +350,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     text = rendered + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -166,11 +166,6 @@ def is_realizable(ranks: Sequence[int], mults: Sequence[int]) -> bool:
     return total % 2 == 1 and total >= 3
 
 
-def _filled_tail(top: int) -> list[int]:
-    # Four copies of every even value from top down to 2.
-    return [v for v in range(top, 0, -2) for _ in range(4)]
-
-
 def _tail_weight(top: int) -> int:
     # 4 * (2 + 4 + ... + top)
     half = top // 2
@@ -184,31 +179,37 @@ def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
     A candidate either equals eta, or copies a prefix of eta and then drops
     strictly below it; after dropping, the lexicographic constraint is slack,
     so the best continuation packs four copies of every smaller even value.
+    A feasible prefix ends inside at most the first five copies of a run, so
+    there are O(runs) candidates; each is kept as (weight, runs copied,
+    copies of the next run, tail top) and only the heaviest are built.
     """
-    parts = eta.parts
-    candidates: list[tuple[int, tuple[int, ...]]] = []
+    runs = tuple(eta.exponents())
+    candidates: list[tuple[int, int, int, int]] = []
     if is_grs_admissible(eta):
-        candidates.append((eta.weight, parts))
+        candidates.append((eta.weight, len(runs), 0, 0))
     prefix_weight = 0
-    mult_in_run = 0
-    for j in range(len(parts)):
-        # Here parts[:j] is a feasible prefix (even values, runs of <= 4).
-        candidates.append((prefix_weight, parts[:j]))
-        v = parts[j] - 1
-        v -= v % 2
-        if v >= 2:
-            tail = tuple(_filled_tail(v))
-            candidates.append((prefix_weight + _tail_weight(v), parts[:j] + tail))
-        pj = parts[j]
-        if pj % 2:
+    for i, (u, m) in enumerate(runs):
+        # Tails must stay strictly below u: top is the largest even value < u.
+        top = u - 2 if u % 2 == 0 else u - 1
+        # The prefix may go on with k copies of an even u, up to four, and
+        # fewer than m (all m carry on to the next run); an odd u, none.
+        for k in range(min(m, 5) if u % 2 == 0 else 1):
+            w = prefix_weight + k * u
+            candidates.append((w, i, k, 0))
+            if top >= 2:
+                candidates.append((w + _tail_weight(top), i, k, top))
+        if u % 2 or m > 4:
             break
-        mult_in_run = mult_in_run + 1 if j > 0 and parts[j - 1] == pj else 1
-        if mult_in_run > 4:
-            break
-        prefix_weight += pj
-    best_weight = max(w for w, _ in candidates)
-    best = max(p for w, p in candidates if w == best_weight)
-    return best_weight, Partition(best)
+        prefix_weight += u * m
+    best_weight = max(c[0] for c in candidates)
+
+    def built(i: int, k: int, top: int) -> tuple[tuple[int, int], ...]:
+        head = runs[:i] + (((runs[i][0], k),) if k else ())
+        return head + tuple((v, 4) for v in range(top, 0, -2))
+
+    # Runs tuples order exactly as the part sequences do lexicographically.
+    best = max(built(i, k, top) for w, i, k, top in candidates if w == best_weight)
+    return best_weight, Partition._from_runs(best)
 
 
 @lru_cache(maxsize=65536)
@@ -221,16 +222,22 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
     (parts placed, weight placed); for each state the lexicographically
     largest multiplicity history is kept so the witness tie-break is exact.
     """
-    parts = eta.parts
-    if not parts:
+    runs = eta.exponents()
+    if not runs:
         return 0, Partition()
-    top = parts[0] - (parts[0] % 2)
+    top = runs[0][0] - (runs[0][0] % 2)
     values = list(range(top, 0, -2))
-    prefix = list(itertools.accumulate(parts))
+    # prefix[c]: weight of eta's first c parts, for every count the DP can
+    # reach (at most four parts per value); read off eta's runs.
+    reach = 4 * len(values)
+    prefix = [0]
+    for v, m in runs:
+        for _ in range(min(m, reach + 1 - len(prefix))):
+            prefix.append(prefix[-1] + v)
     total = eta.weight
 
     def bound(count: int) -> int:
-        return prefix[count - 1] if count <= len(prefix) else total
+        return prefix[count] if count < len(prefix) else total
 
     states: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
     for v in values:
@@ -247,8 +254,8 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
         states = nxt
     best_weight = max(w for _, w in states)
     best_hist = max(h for (_, w), h in states.items() if w == best_weight)
-    witness = [v for v, m in zip(values, best_hist) for _ in range(m)]
-    return best_weight, Partition(witness)
+    witness = [(v, m) for v, m in zip(values, best_hist) if m]
+    return best_weight, Partition._from_runs(witness)
 
 
 def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
@@ -268,10 +275,15 @@ def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
     raise InvalidArgument(f"unknown order choice {order!r}")
 
 
-def bounds(psi: ArthurParameter) -> BoundsReport:
-    """The bound triple for a parameter, with maximizer witnesses."""
+def bounds(psi: ArthurParameter, eta: Optional[Partition] = None) -> BoundsReport:
+    """The bound triple for a parameter, with maximizer witnesses.
+
+    ``eta``, when given, must be ``psi.dual_partition()``; callers that
+    already hold it pass it to avoid computing the dual again.
+    """
     n_a = rank_only_bound(psi.ranks())
-    eta = psi.dual_partition()
+    if eta is None:
+        eta = psi.dual_partition()
     n1, w1 = grs_max_weight(eta, OrderChoice.LEX)
     n2, w2 = grs_max_weight(eta, OrderChoice.DOMINANCE)
     if not (n2 <= n1 <= n_a and n2 <= 2 * psi.n):
@@ -350,7 +362,8 @@ def verdict(
     upgraded to ContainsCuspidal except the proved generic case.
     """
     active = frozenset(assumptions)
-    report = bounds(psi)
+    eta = psi.dual_partition()
+    report = bounds(psi, eta)
     firings = _evaluate_rules(psi, field, report)
     effective = {
         f.implies
@@ -371,7 +384,7 @@ def verdict(
         status=status,
         n=psi.n,
         p_psi=psi.attached_partition(),
-        eta=psi.dual_partition(),
+        eta=eta,
         bounds=report,
         firings=firings,
         warnings=psi.warnings,

@@ -9,8 +9,8 @@ exact integer arithmetic on immutable values.
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -45,110 +45,188 @@ _MAX_PARSED_PARTS = 100_000
 
 
 class Partition:
-    """A non-increasing sequence of positive integers.
+    """A non-increasing sequence of positive integers, stored as its runs.
 
     The constructor normalizes: values may arrive in any order, zeros are
     dropped, negatives are rejected.  The empty partition is the valid zero
     partition of weight 0.  Instances are immutable and hashable.
+
+    The canonical state is the ``(value, multiplicity)`` runs with values
+    strictly descending, so ``[6 2^7]`` is two runs however large its
+    multiplicities.  Every operation in this module costs O(runs); only the
+    part-by-part views (``parts``, iteration, slicing, ``repr``) cost
+    O(length).
     """
 
-    __slots__ = ("_parts", "_weight")
+    # Runs stored flat, (v1, m1, v2, m2, ...): a tuple of pairs would take
+    # about three times the memory, and cached partitions add up.
+    __slots__ = ("_runs", "_weight")
 
     def __init__(self, values: Iterable[int] = ()):
-        parts = []
+        counts: dict[int, int] = {}
         for v in values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise InvalidPartition(f"partition entries must be integers, got {v!r}")
             if v < 0:
                 raise InvalidPartition(f"partition entries must be non-negative, got {v}")
             if v:
-                parts.append(v)
-        parts.sort(reverse=True)
-        self._parts = tuple(parts)
-        self._weight = sum(parts)
+                counts[v] = counts.get(v, 0) + 1
+        self._set_runs(sorted(counts.items(), reverse=True))
+
+    @classmethod
+    def _from_runs(cls, runs: Iterable[tuple[int, int]]) -> "Partition":
+        """Build from canonical runs: positive values strictly descending,
+        positive multiplicities.  Internal; the caller guarantees the form."""
+        p = object.__new__(cls)
+        p._set_runs(list(runs))
+        return p
+
+    def _set_runs(self, runs: list[tuple[int, int]]) -> None:
+        # Flattened through a list: a tuple built from an iterator of unknown
+        # length is resized, and freed resized tuples pile up in the
+        # interpreter's per-size free lists.
+        self._runs = tuple([x for run in runs for x in run])
+        self._weight = sum(v * m for v, m in runs)
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        it = iter(self._runs)
+        return zip(it, it)
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def weight(self) -> int:
         return self._weight
 
     def __len__(self) -> int:
-        return len(self._parts)
+        return sum(self._runs[1::2])
 
-    def __iter__(self):
-        return iter(self._parts)
+    def __iter__(self) -> Iterator[int]:
+        return itertools.chain.from_iterable(itertools.repeat(v, m) for v, m in self._pairs())
 
-    def __getitem__(self, i: int) -> int:
-        return self._parts[i]
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.parts[i]
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("partition index out of range")
+        return self.part_at(i % n)
 
     def __bool__(self) -> bool:
-        return bool(self._parts)
+        return bool(self._runs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self._parts == other._parts
+        return isinstance(other, Partition) and self._runs == other._runs
 
     def __hash__(self) -> int:
-        return hash(self._parts)
+        return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self._parts)!r})"
+        return f"Partition({list(self)!r})"
 
     def __str__(self) -> str:
         return self.render()
 
     def part_at(self, i: int) -> int:
         """Part at 0-based index ``i``, reading positions past the end as 0."""
-        return self._parts[i] if 0 <= i < len(self._parts) else 0
+        if i < 0:
+            return 0
+        for v, m in self._pairs():
+            if i < m:
+                return v
+            i -= m
+        return 0
 
     def exponents(self) -> list[tuple[int, int]]:
         """(value, multiplicity) pairs with values descending."""
-        return [(v, len(list(g))) for v, g in itertools.groupby(self._parts)]
+        return list(self._pairs())
 
     def multiplicity(self, value: int) -> int:
-        return self._parts.count(value)
+        return next((m for v, m in self._pairs() if v == value), 0)
 
     def render(self) -> str:
         """Canonical exponent form, e.g. ``[6 2^7]``; the empty partition is ``[]``."""
-        terms = [f"{v}^{m}" if m > 1 else str(v) for v, m in self.exponents()]
+        terms = [f"{v}^{m}" if m > 1 else str(v) for v, m in self._pairs()]
         return "[" + " ".join(terms) + "]"
 
     def __add__(self, other: "Partition") -> "Partition":
         """Part-wise sum, padding the shorter partition with zeros."""
         if not isinstance(other, Partition):
             return NotImplemented
-        n = max(len(self), len(other))
-        return Partition(self.part_at(i) + other.part_at(i) for i in range(n))
+        out: list[tuple[int, int]] = []
+        for (a, b), m in _segments(self, other):
+            _append_run(out, a + b, m)
+        return Partition._from_runs(out)
 
     def transpose(self) -> "Partition":
-        """Conjugate partition: column lengths of the Young diagram."""
-        if not self._parts:
-            return Partition()
-        cols = [0] * self._parts[0]
-        for v in self._parts:
-            for i in range(v):
-                cols[i] += 1
-        return Partition(cols)
+        """Conjugate partition: column lengths of the Young diagram.
+
+        Run ``(v_i, m_i)`` ends the columns ``v_{i+1}+1 .. v_i``, each of
+        length ``m_1 + ... + m_i``.
+        """
+        values = self._runs[::2]
+        rows = itertools.accumulate(self._runs[1::2])
+        below = values[1:] + (0,)
+        cols = [(r, v - w) for r, v, w in zip(rows, values, below)]
+        return Partition._from_runs(reversed(cols))
 
     def decrement(self) -> "Partition":
         """Lower the smallest part by one, dropping it if it reaches zero."""
-        if not self._parts:
+        runs = self.exponents()
+        if not runs:
             raise InvalidPartition("cannot decrement the empty partition")
-        return Partition(self._parts[:-1] + (self._parts[-1] - 1,))
+        v, m = runs.pop()
+        if m > 1:
+            runs.append((v, m - 1))
+        if v > 1:
+            runs.append((v - 1, 1))
+        return Partition._from_runs(runs)
 
     def is_symplectic(self) -> bool:
         """True when every odd part has even multiplicity (type C orbit shape)."""
-        return all(m % 2 == 0 for v, m in self.exponents() if v % 2)
+        return all(m % 2 == 0 for v, m in self._pairs() if v % 2)
 
     def is_orthogonal(self) -> bool:
         """True when every even part has even multiplicity (type B/D orbit shape)."""
-        return all(m % 2 == 0 for v, m in self.exponents() if v % 2 == 0)
+        return all(m % 2 == 0 for v, m in self._pairs() if v % 2 == 0)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
         return parse_partition(text)
+
+
+def _append_run(runs: list[tuple[int, int]], value: int, mult: int) -> None:
+    # Extend non-increasing runs by ``mult`` copies of ``value``, merging a
+    # repeated value; zero values and multiplicities are dropped.
+    if not (value and mult):
+        return
+    if runs and runs[-1][0] == value:
+        runs[-1] = (value, runs[-1][1] + mult)
+    else:
+        runs.append((value, mult))
+
+
+def _segments(p: Partition, q: Partition) -> Iterator[tuple[tuple[int, int], int]]:
+    """Walk two run lists side by side, zero-padding the shorter.
+
+    Yields ``((a, b), count)``: the next ``count`` positions hold part ``a``
+    of p and ``b`` of q.  Segments end at every run end of either list.
+    """
+    # An exhausted list reads as an endless run of zeros.
+    pad = (0, math.inf)
+    p_runs, q_runs = p._pairs(), q._pairs()
+    (a, left_a), (b, left_b) = next(p_runs, pad), next(q_runs, pad)
+    while a or b:
+        step = min(left_a, left_b)
+        yield (a, b), step
+        left_a -= step
+        left_b -= step
+        if not left_a:
+            a, left_a = next(p_runs, pad)
+        if not left_b:
+            b, left_b = next(q_runs, pad)
 
 
 class GroupFamily(Enum):
@@ -196,36 +274,30 @@ def parse_partition(text: str) -> Partition:
     return Partition(values)
 
 
-def _padded(p: Partition, q: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    n = max(len(p), len(q))
-    return (
-        p.parts + (0,) * (n - len(p)),
-        q.parts + (0,) * (n - len(q)),
-    )
-
-
 def compare_lex(p: Partition, q: Partition) -> Order:
     """Lexicographic comparison after zero-padding; a total order.
 
     Partitions of different weights are comparable.
     """
-    if p.parts == q.parts:
-        return Order.EQUAL
-    a, b = _padded(p, q)
-    return Order.LESS if a < b else Order.GREATER
+    for (a, b), _ in _segments(p, q):
+        if a != b:
+            return Order.LESS if a < b else Order.GREATER
+    return Order.EQUAL
 
 
 def compare_dominance(p: Partition, q: Partition) -> Order:
     """Dominance (prefix-sum) comparison after zero-padding; a partial order.
 
     ``p <= q`` when every prefix sum of p is at most the matching prefix sum
-    of q; for unequal weights this forces ``|p| <= |q|``.
+    of q; for unequal weights this forces ``|p| <= |q|``.  Between two run
+    ends both prefix sums grow linearly, so checking them at the run ends of
+    either partition is enough.
     """
     le = ge = True
     pa = qa = 0
-    for i in range(max(len(p), len(q))):
-        pa += p.part_at(i)
-        qa += q.part_at(i)
+    for (a, b), count in _segments(p, q):
+        pa += a * count
+        qa += b * count
         if pa > qa:
             le = False
         elif pa < qa:
@@ -250,31 +322,44 @@ def lex_le(p: Partition, q: Partition) -> bool:
 def symplectic_collapse(p: Partition) -> Partition:
     """Largest symplectic partition of the same weight dominated by ``p``.
 
-    Unit-moving recipe: pick the largest odd value with odd multiplicity,
-    move one box from its last row down to the first later row that can
-    absorb it, repeat.  Fixes symplectic inputs and is idempotent; verified
-    against the brute-force dominance maximum in the test suite.
+    The unit-moving recipe (Collingwood-McGovern, ch. 6) picks the largest
+    odd value q with odd multiplicity, moves one box from its last row down
+    to the first later row shorter than q-1, and repeats.  Even weight pairs
+    those values off, a > b, and on runs the moves between one pair add up
+    to: the last a becomes a-1, every odd run strictly between them (whose
+    multiplicity is even) gives its first row +1 and its last row -1, and
+    the first b becomes b+1; even runs between are left as they are.  Fixes
+    symplectic inputs and is idempotent; verified against the brute-force
+    dominance maximum in the test suite.
     """
     if p.weight % 2:
         raise InvalidWeight(f"symplectic collapse needs even weight, got {p.weight}")
-    parts = list(p.parts)
-    while True:
-        bad = [v for v, m in Counter(parts).items() if v % 2 and m % 2]
-        if not bad:
-            return Partition(parts)
-        q = max(bad)
-        i = max(idx for idx, v in enumerate(parts) if v == q)
-        parts[i] = q - 1
-        for j in range(i + 1, len(parts)):
-            if parts[j] < q - 1:
-                parts[j] += 1
-                break
-        else:
-            # Even weight guarantees a second odd value with odd multiplicity
-            # below q-1, so an absorbing row always exists.
-            raise InternalInvariantViolation(
-                f"collapse recipe found no absorbing row in {parts}"
-            )
+    runs = p.exponents()
+    bad = [v for v, m in runs if v % 2 and m % 2]
+    if not bad:
+        return p
+    if len(bad) % 2:
+        # Even weight forces an even count of odd values with odd
+        # multiplicity, so every a has its b.
+        raise InternalInvariantViolation(f"collapse recipe found no absorbing row in {p}")
+    pairs = iter(bad)
+    a, b = next(pairs), next(pairs)
+    out: list[tuple[int, int]] = []
+    for v, m in runs:
+        if v > a or v % 2 == 0:
+            _append_run(out, v, m)
+        elif v == a:
+            _append_run(out, v, m - 1)
+            _append_run(out, v - 1, 1)
+        elif v == b:
+            _append_run(out, v + 1, 1)
+            _append_run(out, v, m - 1)
+            a, b = next(pairs, 0), next(pairs, 0)
+        else:  # odd, between a and b, even multiplicity
+            _append_run(out, v + 1, 1)
+            _append_run(out, v, m - 2)
+            _append_run(out, v - 1, 1)
+    return Partition._from_runs(out)
 
 
 def _dual_collapse_then_transpose(p: Partition) -> Partition:

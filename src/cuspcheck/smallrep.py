@@ -10,7 +10,7 @@ from enum import Enum
 from typing import Optional
 
 from .arthur import ArthurParameter, SelfDualType, Triviality
-from .engine import FieldKind
+from .engine import FieldKind, _tail_weight
 from .errors import InternalInvariantViolation, InvalidArgument
 from .partitions import GroupFamily, Partition, expansion
 
@@ -51,12 +51,6 @@ class Existence(Enum):
     UNKNOWN = "Unknown"
 
 
-def _max_grs_weight_with_top(top: int) -> int:
-    # 4 * (2 + 4 + ... + top)
-    half = top // 2
-    return 4 * half * (half + 1)
-
-
 def grs_minimal_partition(two_n: int) -> Partition:
     """Lexicographically smallest GRS-admissible partition of weight two_n.
 
@@ -76,7 +70,7 @@ def grs_minimal_partition(two_n: int) -> Partition:
                 continue
             if v > remaining:
                 break
-            budget = _max_grs_weight_with_top(v)
+            budget = _tail_weight(v)
             if v == prev:
                 budget -= used_of_prev * v
             if remaining - v <= budget - v:

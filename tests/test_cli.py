@@ -248,6 +248,13 @@ class TestHarness:
         assert code == 0 and out == ""
         assert target.read_text(encoding="utf-8").startswith("p       = [7 2^2]")
 
+    def test_out_unwritable_is_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "result.txt"
+        code, out, err = run(capsys, "dual", "7 2^2", "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not target.exists()
+
     def test_repeated_invocations_identical(self, capsys):
         _, first, _ = run(capsys, *FIGURE1, "--format", "csv")
         _, second, _ = run(capsys, *FIGURE1, "--format", "csv")

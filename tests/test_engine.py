@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -152,6 +153,42 @@ class TestVerdict:
         v = verdict(parse_parameter("(1c,1)+(4s,8)"), TI)
         assert v.status is Status.NO_CUSPIDAL
         assert any(f.rule == "R4" for f in v.firings)
+
+    def test_eta_computed_once(self, monkeypatch):
+        import cuspcheck.arthur
+        import cuspcheck.partitions
+
+        calls = {"dual": 0, "collapse": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        dual = counted("dual", cuspcheck.partitions.barbasch_vogan_dual)
+        monkeypatch.setattr(cuspcheck.arthur, "barbasch_vogan_dual", dual)
+        monkeypatch.setattr(cuspcheck.partitions, "barbasch_vogan_dual", dual)
+        monkeypatch.setattr(
+            cuspcheck.partitions,
+            "symplectic_collapse",
+            counted("collapse", cuspcheck.partitions.symplectic_collapse),
+        )
+        verdict(parse_parameter("(1c,7)+(2s,2)"), TI, frozenset(Assumption))
+        # One dual, which runs both recipes: one collapse each.
+        assert calls == {"dual": 1, "collapse": 2}
+
+    def test_cost_follows_shape(self):
+        # p_psi is a single part and eta a single run; a verdict must not
+        # touch the ten million rows one by one.
+        psi = parse_parameter("(1c,10000001)")
+        start = time.perf_counter()
+        v = verdict(psi, TI)
+        elapsed = time.perf_counter() - start
+        assert v.eta.exponents() == [(1, 10000000)]
+        assert v.p_psi.exponents() == [(10000001, 1)]
+        assert elapsed < 2.0
 
     def test_generic_contains_cuspidal(self):
         v = verdict(parse_parameter("(3o,1)+(2o,1)"), TI)

@@ -61,6 +61,35 @@ class TestConstruction:
     def test_hashable_and_eq(self):
         assert P([3, 2]) == P([2, 3]) and hash(P([3, 2])) == hash(P([2, 3]))
 
+    def test_views_match_sorted_tuples(self):
+        # The runs are the stored state; every part-by-part view must read
+        # exactly as a plain non-increasing tuple would.
+        def tuples(n, largest):
+            if n == 0:
+                yield ()
+                return
+            for first in range(min(n, largest), 0, -1):
+                for rest in tuples(n - first, first):
+                    yield (first,) + rest
+
+        refs = [t for w in range(15) for t in tuples(w, w)]
+        built = {}
+        for ref in refs:
+            p = P(reversed(ref))
+            n = len(ref)
+            assert p.parts == ref and tuple(p) == ref and len(p) == n
+            assert p.weight == sum(ref) and bool(p) == bool(ref)
+            assert [p[i] for i in range(-n, n)] == [ref[i] for i in range(-n, n)]
+            assert p[1:3] == ref[1:3]
+            assert [p.part_at(i) for i in range(-1, n + 2)] == [0, *ref, 0, 0]
+            assert p.exponents() == [(v, ref.count(v)) for v in sorted(set(ref), reverse=True)]
+            assert all(p.multiplicity(v) == ref.count(v) for v in range(16))
+            assert p == P(ref) and hash(p) == hash(P(ref))
+            built[p] = ref
+        assert len(built) == len(refs)
+        with pytest.raises(IndexError):
+            P([2, 1])[2]
+
 
 class TestTranspose:
     @pytest.mark.parametrize(
@@ -68,6 +97,7 @@ class TestTranspose:
         [
             ([7, 2, 2], [3, 3, 1, 1, 1, 1, 1]),
             ([8, 8, 1, 1, 1, 1, 1], [7, 2, 2, 2, 2, 2, 2, 2]),
+            ([5, 5, 5, 2, 2, 2, 2], [7, 7, 3, 3, 3]),
             ([], []),
         ],
     )
@@ -201,6 +231,7 @@ class TestBarbaschVoganDual:
             ([1] * 11, [10]),
             ([4, 4, 1], [2, 2, 2, 2]),
             ([5, 5, 5], [3, 3, 3, 3, 2]),
+            ([5, 3, 3, 1, 1], [4, 4, 2, 2]),
         ],
     )
     def test_goldens(self, p, expected):
