@@ -23,7 +23,6 @@ __all__ = [
     "CharacterLabel",
     "SimpleParameter",
     "ArthurParameter",
-    "validate",
     "parse_parameter",
     "render_parameter",
 ]
@@ -57,8 +56,8 @@ class SimpleParameter:
     """One summand (tau, b): rank, multiplicity, type and central character.
 
     The constructor only checks basic ranges; the parity rules between rank,
-    multiplicity and type are enforced by :func:`validate`, which can then
-    report every violation at once.
+    multiplicity and type are enforced by :class:`ArthurParameter`, which
+    reports every violation at once.
     """
 
     label: str
@@ -207,11 +206,6 @@ class ArthurParameter:
 
     def __str__(self) -> str:
         return render_parameter(self)
-
-
-def validate(summands: Iterable[SimpleParameter]) -> ArthurParameter:
-    """Build a parameter, raising ParameterError with all violations at once."""
-    return ArthurParameter(summands)
 
 
 _SIMPLE = re.compile(

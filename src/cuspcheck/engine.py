@@ -10,8 +10,6 @@ fired and which conjectural assumption (if any) each conclusion needs.
 from __future__ import annotations
 
 import itertools
-import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -412,11 +410,17 @@ class ScanCell:
         return out
 
 
-_IDENT = re.compile(r"\$\{?([A-Za-z_][A-Za-z0-9_]*)\}?")
-
-
-def _template_slots(template: str) -> set[str]:
-    return set(_IDENT.findall(template))
+def _template_slots(template: Template) -> set[str]:
+    """Placeholder names in ``template``; an escaped ``$$`` is not one."""
+    slots = set()
+    for m in template.pattern.finditer(template.template):
+        if m.group("invalid") is not None:
+            raise InvalidArgument(
+                f"malformed placeholder at offset {m.start()} of template {template.template!r}"
+            )
+        if m.group("escaped") is None:
+            slots.add(m.group("named") or m.group("braced"))
+    return slots
 
 
 def scan(
@@ -424,39 +428,32 @@ def scan(
     ranges: Sequence[tuple[str, Sequence[int]]],
     field: FieldKind = FieldKind.GENERAL,
     assumptions: Iterable[Assumption] = (),
-    max_workers: Optional[int] = None,
 ) -> list[ScanCell]:
     """Evaluate a parameter template over integer ranges.
 
     ``ranges`` is an ordered list of (slot name, values); the grid is walked
     row-major in that order.  Cells whose instantiation fails validation are
-    reported with status Invalid rather than dropped.  Evaluation may run on
-    a thread pool; the output order is fixed by the ranges regardless.
+    reported with status Invalid rather than dropped.
     """
     names = [name for name, _ in ranges]
     if len(set(names)) != len(names):
         raise InvalidArgument("duplicate slot name in ranges")
-    slots = _template_slots(template)
+    compiled = Template(template)
+    slots = _template_slots(compiled)
     if slots != set(names):
         raise InvalidArgument(
             f"template slots {sorted(slots)} do not match range names {sorted(names)}"
         )
     active = frozenset(assumptions)
-    combos = list(itertools.product(*[list(vals) for _, vals in ranges]))
 
     def evaluate(combo: tuple[int, ...]) -> ScanCell:
-        mapping = dict(zip(names, combo))
-        text = Template(template).substitute({k: str(v) for k, v in mapping.items()})
         cell_slots = tuple(zip(names, combo))
         try:
-            psi = parse_parameter(text)
+            psi = parse_parameter(compiled.substitute(dict(cell_slots)))
             return ScanCell(cell_slots, verdict(psi, field, active), None)
         except InternalInvariantViolation:
             raise
         except CuspcheckError as exc:
             return ScanCell(cell_slots, None, str(exc))
 
-    if max_workers is not None and max_workers > 1 and combos:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(evaluate, combos))
-    return [evaluate(c) for c in combos]
+    return [evaluate(c) for c in itertools.product(*[list(vals) for _, vals in ranges])]

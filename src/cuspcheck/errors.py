@@ -19,14 +19,6 @@ class InvalidArgument(CuspcheckError):
     """A scalar or structural argument is out of range or malformed."""
 
 
-class AmbiguousExpansion(CuspcheckError):
-    """The set of special partitions above the input has no unique minimum.
-
-    Expansions are expected to be unique; raising is safer than a silent
-    tie-break.
-    """
-
-
 class InternalInvariantViolation(CuspcheckError):
     """A cross-check that must hold by theory failed; signals a bug."""
 

@@ -15,7 +15,6 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
-    AmbiguousExpansion,
     InternalInvariantViolation,
     InvalidArgument,
     InvalidPartition,
@@ -319,34 +318,29 @@ def lex_le(p: Partition, q: Partition) -> bool:
     return compare_lex(p, q) in (Order.LESS, Order.EQUAL)
 
 
-def symplectic_collapse(p: Partition) -> Partition:
-    """Largest symplectic partition of the same weight dominated by ``p``.
+def _collapse(p: Partition, parity: int) -> Partition:
+    """Largest partition of |p| dominated by ``p`` in which every value of the
+    given parity has even multiplicity: symplectic for parity 1, orthogonal
+    for parity 0.
 
     The unit-moving recipe (Collingwood-McGovern, ch. 6) picks the largest
-    odd value q with odd multiplicity, moves one box from its last row down
-    to the first later row shorter than q-1, and repeats.  Even weight pairs
-    those values off, a > b, and on runs the moves between one pair add up
-    to: the last a becomes a-1, every odd run strictly between them (whose
-    multiplicity is even) gives its first row +1 and its last row -1, and
-    the first b becomes b+1; even runs between are left as they are.  Fixes
-    symplectic inputs and is idempotent; verified against the brute-force
-    dominance maximum in the test suite.
+    value q of that parity with odd multiplicity, moves one box from its last
+    row down to the first later row shorter than q-1, and repeats.  Those
+    values pair off, a > b, and on runs the moves between one pair add up to:
+    the last a becomes a-1, every run of that parity strictly between them
+    (whose multiplicity is even) gives its first row +1 and its last row -1,
+    and the first b becomes b+1; runs of the other parity are left as they
+    are.  An unpaired last a (odd count, possible only for even values) pairs
+    with b = 0: its box starts a new row of length 1.
     """
-    if p.weight % 2:
-        raise InvalidWeight(f"symplectic collapse needs even weight, got {p.weight}")
     runs = p.exponents()
-    bad = [v for v, m in runs if v % 2 and m % 2]
-    if not bad:
+    bad = iter([v for v, m in runs if v % 2 == parity and m % 2])
+    a, b = next(bad, 0), next(bad, 0)
+    if not a:
         return p
-    if len(bad) % 2:
-        # Even weight forces an even count of odd values with odd
-        # multiplicity, so every a has its b.
-        raise InternalInvariantViolation(f"collapse recipe found no absorbing row in {p}")
-    pairs = iter(bad)
-    a, b = next(pairs), next(pairs)
     out: list[tuple[int, int]] = []
     for v, m in runs:
-        if v > a or v % 2 == 0:
+        if v > a or v % 2 != parity:
             _append_run(out, v, m)
         elif v == a:
             _append_run(out, v, m - 1)
@@ -354,12 +348,30 @@ def symplectic_collapse(p: Partition) -> Partition:
         elif v == b:
             _append_run(out, v + 1, 1)
             _append_run(out, v, m - 1)
-            a, b = next(pairs, 0), next(pairs, 0)
-        else:  # odd, between a and b, even multiplicity
+            a, b = next(bad, 0), next(bad, 0)
+        else:  # strictly between a and b, even multiplicity
             _append_run(out, v + 1, 1)
             _append_run(out, v, m - 2)
             _append_run(out, v - 1, 1)
+    if a:
+        _append_run(out, 1, 1)
     return Partition._from_runs(out)
+
+
+def symplectic_collapse(p: Partition) -> Partition:
+    """Largest symplectic partition of the same weight dominated by ``p``.
+
+    Fixes symplectic inputs and is idempotent; verified against the
+    brute-force dominance maximum in the test suite.
+    """
+    if p.weight % 2:
+        raise InvalidWeight(f"symplectic collapse needs even weight, got {p.weight}")
+    out = _collapse(p, 1)
+    if not out.is_symplectic():
+        # Even weight forces an even count of odd values with odd
+        # multiplicity, so every a has its b and no new row is needed.
+        raise InternalInvariantViolation(f"collapse recipe gave non-symplectic {out} from {p}")
+    return out
 
 
 def _dual_collapse_then_transpose(p: Partition) -> Partition:
@@ -427,34 +439,18 @@ def is_special(p: Partition, family: GroupFamily) -> bool:
 def expansion(p: Partition, family: GroupFamily) -> Partition:
     """Smallest special partition of the family dominating ``p``.
 
-    Computed by search over same-weight special partitions; the dominance
-    minimum is asserted to be unique (AmbiguousExpansion otherwise).
+    Closed form (Collingwood-McGovern, ch. 6): the transpose of the collapse
+    of the transpose of ``p``, with the orthogonal collapse for B and the
+    symplectic collapse for C and D.  Verified against the brute-force
+    dominance minimum in the test suite.
     """
     _require_admissible(p, family)
-    if is_special(p, family):
-        return p
-    candidates = [
-        q
-        for q in partitions_of(p.weight)
-        if _family_admits(q, family)
-        and dominance_le(p, q)
-        and is_special(q, family)
-    ]
-    if not candidates:
-        raise InternalInvariantViolation(f"no special partition dominates {p}")
-    best = candidates[0]
-    changed = True
-    while changed:
-        changed = False
-        for c in candidates:
-            if compare_dominance(c, best) is Order.LESS:
-                best = c
-                changed = True
-    if not all(dominance_le(best, c) for c in candidates):
-        raise AmbiguousExpansion(
-            f"special partitions above {p} have no unique minimum"
+    out = _collapse(p.transpose(), 0 if family is GroupFamily.B else 1).transpose()
+    if not (_family_admits(out, family) and is_special(out, family) and dominance_le(p, out)):
+        raise InternalInvariantViolation(
+            f"expansion of {p} gave {out}, not a special partition above it"
         )
-    return best
+    return out
 
 
 def is_grs_admissible(p: Partition) -> bool:

@@ -47,9 +47,20 @@ def naive_lex_le(p: Partition, q: Partition) -> bool:
     return a <= b
 
 
-def oracle_collapse(p: Partition) -> Partition:
-    """Dominance maximum over all symplectic partitions of |p| below p."""
-    cands = [q for q in all_partitions(p.weight) if q.is_symplectic() and naive_dominance_le(q, p)]
+def naive_parity_type(q: Partition, parity: int) -> bool:
+    """Every value of the given parity occurs with even multiplicity:
+    symplectic for parity 1, orthogonal for parity 0."""
+    return all(q.parts.count(v) % 2 == 0 for v in set(q.parts) if v % 2 == parity)
+
+
+def oracle_collapse(p: Partition, parity: int = 1) -> Partition:
+    """Dominance maximum over all partitions of |p| below p of the parity
+    type (symplectic for parity 1, orthogonal for parity 0)."""
+    cands = [
+        q
+        for q in all_partitions(p.weight)
+        if naive_parity_type(q, parity) and naive_dominance_le(q, p)
+    ]
     maxima = [q for q in cands if not any(naive_dominance_le(q, r) and q != r for r in cands)]
     assert len(maxima) == 1, (p, maxima)
     return maxima[0]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcheck import (
+    ArthurParameter,
     CharacterLabel,
     ParameterError,
     Partition,
@@ -13,7 +14,6 @@ from cuspcheck import (
     Triviality,
     parse_parameter,
     render_parameter,
-    validate,
 )
 
 import oracles
@@ -30,7 +30,7 @@ def simple(label, rank, mult, dual, triv=Triviality.UNKNOWN, char=None):
 
 class TestValidate:
     def test_sp10_example(self):
-        psi = validate(
+        psi = ArthurParameter(
             [
                 simple("chi", 1, 7, ORTH, Triviality.TRIVIAL, char="1"),
                 simple("tau", 2, 2, SYMP),
@@ -40,35 +40,35 @@ class TestValidate:
 
     def test_symplectic_needs_even_mult(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 2, 3, SYMP)])
+            ArthurParameter([simple("tau", 2, 3, SYMP)])
         assert "parity-rule" in exc.value.codes
 
     def test_sp20_example(self):
-        psi = validate([simple("tau1", 5, 1, ORTH), simple("tau2", 2, 8, SYMP)])
+        psi = ArthurParameter([simple("tau1", 5, 1, ORTH), simple("tau2", 2, 8, SYMP)])
         assert psi.n == 10
 
     def test_symplectic_needs_even_rank(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 3, 2, SYMP), simple("chi", 1, 1, ORTH)])
+            ArthurParameter([simple("tau", 3, 2, SYMP), simple("chi", 1, 1, ORTH)])
         assert "parity-rule" in exc.value.codes
 
     def test_orthogonal_needs_odd_mult(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 3, 2, ORTH), simple("chi", 1, 1, ORTH)])
+            ArthurParameter([simple("tau", 3, 2, ORTH), simple("chi", 1, 1, ORTH)])
         assert "parity-rule" in exc.value.codes
 
     def test_duplicate_summand(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 3, 1, ORTH), simple("tau", 3, 1, ORTH), simple("c", 1, 1, ORTH)])
+            ArthurParameter([simple("tau", 3, 1, ORTH), simple("tau", 3, 1, ORTH), simple("c", 1, 1, ORTH)])
         assert "duplicate-summand" in exc.value.codes
 
     def test_equal_shape_distinct_labels_allowed(self):
-        psi = validate([simple("a", 3, 1, ORTH), simple("b", 3, 1, ORTH), simple("c", 1, 1, ORTH)])
+        psi = ArthurParameter([simple("a", 3, 1, ORTH), simple("b", 3, 1, ORTH), simple("c", 1, 1, ORTH)])
         assert psi.n == 3
 
     def test_even_total_rejected(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 2, 2, SYMP)])
+            ArthurParameter([simple("tau", 2, 2, SYMP)])
         assert "not-odd-weight" in exc.value.codes
 
     def test_single_symplectic_always_rejected(self):
@@ -77,15 +77,15 @@ class TestValidate:
         for rank in (2, 4, 6):
             for mult in (2, 4, 8):
                 with pytest.raises(ParameterError):
-                    validate([simple("tau", rank, mult, SYMP)])
+                    ArthurParameter([simple("tau", rank, mult, SYMP)])
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            validate([])
+            ArthurParameter([])
 
     def test_issues_aggregate(self):
         with pytest.raises(ParameterError) as exc:
-            validate([simple("tau", 3, 2, SYMP)])
+            ArthurParameter([simple("tau", 3, 2, SYMP)])
         assert set(exc.value.codes) >= {"parity-rule", "not-odd-weight"}
 
 
@@ -190,7 +190,7 @@ class TestCentralCharacterAdvisory:
         assert psi.warnings == ()
 
     def test_all_trivial_passes(self):
-        psi = validate(
+        psi = ArthurParameter(
             [
                 simple("chi", 1, 7, ORTH, Triviality.TRIVIAL, char="1"),
                 simple("tau", 2, 2, SYMP, Triviality.TRIVIAL),
@@ -199,7 +199,7 @@ class TestCentralCharacterAdvisory:
         assert psi.warnings == ()
 
     def test_single_nontrivial_odd_exponent_warns(self):
-        psi = validate(
+        psi = ArthurParameter(
             [
                 simple("chi", 1, 7, ORTH, Triviality.NONTRIVIAL, char="chi"),
                 simple("tau", 2, 2, SYMP, Triviality.TRIVIAL),
@@ -210,7 +210,7 @@ class TestCentralCharacterAdvisory:
 
     def test_nontrivial_even_exponent_passes(self):
         # chi appears with total exponent 1 + 3 = 4, so its contribution cancels.
-        psi = validate(
+        psi = ArthurParameter(
             [
                 simple("a", 1, 1, ORTH, Triviality.NONTRIVIAL, char="chi"),
                 simple("b", 1, 3, ORTH, Triviality.NONTRIVIAL, char="chi"),
@@ -220,7 +220,7 @@ class TestCentralCharacterAdvisory:
         assert psi.warnings == ()
 
     def test_three_distinct_odd_exponents_indeterminate(self):
-        psi = validate(
+        psi = ArthurParameter(
             [
                 simple("a", 1, 1, ORTH, Triviality.NONTRIVIAL, char="x"),
                 simple("b", 1, 3, ORTH, Triviality.NONTRIVIAL, char="y"),

@@ -175,6 +175,10 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--template", "(1c,$b)+(2s,$c)", "--range", "b=1:3:2")
         assert code == 2 and "slots" in err
 
+    def test_malformed_template_is_input_error(self, capsys):
+        code, out, err = run(capsys, "scan", "--template", "(1c,$1)+(2s,$b)", "--range", "b=1:3")
+        assert code == 2 and out == "" and err.startswith("error: malformed placeholder")
+
 
 class TestSatake:
     def test_json_values(self, capsys):

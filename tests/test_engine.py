@@ -294,11 +294,13 @@ class TestScan:
         with pytest.raises(InvalidArgument):
             scan("(1c,$b)+(2s,2)", [("b", [1]), ("x", [1])])
 
-    def test_thread_counts_agree(self):
-        args = ("(1c,$b1)+(2s,$b2)", [("b1", [1, 3, 5, 7]), ("b2", [2, 4, 6])])
-        serial = scan(*args, field=TI)
-        pooled = scan(*args, field=TI, max_workers=8)
-        assert [c.to_dict() for c in serial] == [c.to_dict() for c in pooled]
+    def test_malformed_template_rejected(self):
+        for bad in ["(1c,$1)+(2s,$b)", "(1c,$b)+(2s,2)$", "(1c,${b)+(2s,2)"]:
+            with pytest.raises(InvalidArgument, match="malformed placeholder"):
+                scan(bad, [("b", [1])])
+        # An escaped $$ is a literal dollar sign, not a slot.
+        with pytest.raises(InvalidArgument, match="slots"):
+            scan("(1c,$$b)+(2s,2)", [("b", [1])])
 
 
 class TestInvariants:

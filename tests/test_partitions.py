@@ -23,6 +23,7 @@ from cuspcheck import (
     symplectic_collapse,
 )
 from cuspcheck.partitions import (
+    _collapse,
     _dual_collapse_then_transpose,
     _dual_transpose_then_collapse,
     _family_admits,
@@ -182,6 +183,12 @@ class TestCollapse:
             assert got.weight == p.weight
             assert dominance_le(got, p)
 
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_both_parities_against_oracle(self, parity):
+        # Symplectic partitions have even weight, orthogonal ones any weight.
+        for p in all_upto(16, step=1 if parity == 0 else 2):
+            assert _collapse(p, parity) == oracles.oracle_collapse(p, parity), p
+
     def test_idempotent_and_fixed_points(self):
         for p in all_upto(14, step=2):
             c = symplectic_collapse(p)
@@ -311,7 +318,7 @@ class TestExpansion:
 
     def test_against_oracle(self):
         for family in GroupFamily:
-            for w in range(1, 14):
+            for w in range(1, 19):
                 for p in oracles.all_partitions(w):
                     if not _family_admits(p, family):
                         continue

@@ -1,5 +1,6 @@
 import pytest
 
+import cuspcheck.partitions
 from cuspcheck import (
     Existence,
     FieldKind,
@@ -108,8 +109,13 @@ class TestNonsingular:
                 special=lambda q: is_special(q, GroupFamily.B),
             )
 
-    def test_displayed_shapes(self):
-        for e in range(1, 4):
+    def test_displayed_shapes(self, monkeypatch):
+        # The closed form needs no enumeration, so it reaches n = 1000.
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("expansion enumerated partitions")
+
+        monkeypatch.setattr(cuspcheck.partitions, "partitions_of", no_enumeration)
+        for e in range(1, 501):
             assert nonsingular_expansion(GroupFamily.B, 2 * e) == P([3] + [2] * (2 * e - 2) + [1, 1])
             assert nonsingular_expansion(GroupFamily.B, 2 * e + 1) == P([3] + [2] * (2 * e - 2) + [1] * 4)
 
