@@ -57,7 +57,9 @@ class SimpleParameter:
 
     The constructor only checks basic ranges; the parity rules between rank,
     multiplicity and type are enforced by :class:`ArthurParameter`, which
-    reports every violation at once.
+    reports every violation at once.  Without ``central_char``, a rank-1
+    summand is its own character (label ``1`` is the trivial one) and any
+    other summand gets the unknown character ``w(label)``.
     """
 
     label: str
@@ -74,9 +76,12 @@ class SimpleParameter:
         if self.mult < 1:
             raise InvalidArgument(f"multiplicity must be at least 1, got {self.mult}")
         if self.central_char is None:
-            object.__setattr__(
-                self, "central_char", CharacterLabel(f"w({self.label})")
-            )
+            if self.rank == 1:
+                triv = Triviality.TRIVIAL if self.label == "1" else Triviality.UNKNOWN
+                char = CharacterLabel(self.label, triv)
+            else:
+                char = CharacterLabel(f"w({self.label})")
+            object.__setattr__(self, "central_char", char)
 
     @property
     def size(self) -> int:
@@ -233,21 +238,19 @@ def parse_parameter(text: str) -> ArthurParameter:
         m = _SIMPLE.match(piece)
         if not m:
             raise InvalidArgument(f"cannot parse simple parameter {piece!r}")
-        rank = int(m.group(1))
+        try:
+            rank, mult = int(m.group(1)), int(m.group(4))
+        except ValueError:
+            # int() refuses more digits than the interpreter's conversion limit.
+            raise InvalidArgument(
+                f"simple parameter {idx} has an integer too long to read ({len(piece)} characters)"
+            ) from None
         typ = m.group(2)
         label = m.group(3) or _auto_label(idx)
-        mult = int(m.group(4))
         if typ == "c" and rank != 1:
             raise InvalidArgument(f"type 'c' means a rank-1 character, got rank {rank} in {piece!r}")
         dual = SelfDualType.SYMPLECTIC if typ == "s" else SelfDualType.ORTHOGONAL
-        if rank == 1:
-            triv = Triviality.TRIVIAL if label == "1" else Triviality.UNKNOWN
-            char = CharacterLabel(label, triv)
-        else:
-            char = CharacterLabel(f"w({label})", Triviality.UNKNOWN)
-        summands.append(
-            SimpleParameter(label=label, rank=rank, mult=mult, dual_type=dual, central_char=char)
-        )
+        summands.append(SimpleParameter(label=label, rank=rank, mult=mult, dual_type=dual))
     return ArthurParameter(summands)
 
 

@@ -191,10 +191,6 @@ class Partition:
         """True when every even part has even multiplicity (type B/D orbit shape)."""
         return all(m % 2 == 0 for v, m in self._pairs() if v % 2 == 0)
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        return parse_partition(text)
-
 
 def _append_run(runs: list[tuple[int, int]], value: int, mult: int) -> None:
     # Extend non-increasing runs by ``mult`` copies of ``value``, merging a
@@ -265,8 +261,14 @@ def parse_partition(text: str) -> Partition:
         m = _TERM.match(tok)
         if not m:
             raise InvalidPartition(f"cannot parse partition term {tok!r}")
-        base = int(m.group(1))
-        mult = int(m.group(2)) if m.group(2) is not None else 1
+        try:
+            base = int(m.group(1))
+            mult = int(m.group(2)) if m.group(2) is not None else 1
+        except ValueError:
+            # int() refuses more digits than the interpreter's conversion limit.
+            raise InvalidPartition(
+                f"partition term has an integer too long to read ({len(tok)} characters)"
+            ) from None
         if mult > _MAX_PARSED_PARTS or len(values) + mult > _MAX_PARSED_PARTS:
             raise InvalidPartition(f"partition too large in term {tok!r}")
         values.extend([base] * mult)

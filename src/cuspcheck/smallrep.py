@@ -5,6 +5,7 @@ orthogonal groups, small-family recognizers, and hypercuspidal nonexistence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -12,7 +13,7 @@ from typing import Optional
 from .arthur import ArthurParameter, SelfDualType, Triviality
 from .engine import FieldKind, _tail_weight
 from .errors import InternalInvariantViolation, InvalidArgument
-from .partitions import GroupFamily, Partition, expansion
+from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, expansion, is_grs_admissible
 
 __all__ = [
     "SmallFamily",
@@ -51,44 +52,34 @@ class Existence(Enum):
     UNKNOWN = "Unknown"
 
 
+def _shape(*runs: tuple[int, int]) -> Partition:
+    # The displayed shapes lose a run at small n; zero multiplicities drop.
+    return Partition._from_runs([(v, m) for v, m in runs if m])
+
+
 def grs_minimal_partition(two_n: int) -> Partition:
     """Lexicographically smallest GRS-admissible partition of weight two_n.
 
-    Greedy: at each position take the smallest even value that still leaves
-    the remainder coverable by at most four copies of each smaller even value.
+    Closed form: the first part is the least even T whose full staircase
+    ``[T^4 (T-2)^4 ... 2^4]`` weighs ``T(T+2) >= two_n``.  The excess
+    ``E = T(T+2) - two_n`` is below 4T, so dropping ``E // T`` copies of T
+    and one copy of ``E mod T`` (when nonzero) leaves the rest lex-smallest.
+    The result has T/2 runs; a weight needing more runs than the cap on
+    parsed partitions is rejected.
     """
     if two_n < 2 or two_n % 2:
         raise InvalidArgument(f"weight must be even and at least 2, got {two_n}")
-    parts: list[int] = []
-    remaining = two_n
-    prev = two_n  # no part may exceed the previous one
-    used_of_prev = 0
-    while remaining:
-        chosen = None
-        for v in range(2, prev + 1, 2):
-            if v == prev and used_of_prev >= 4:
-                continue
-            if v > remaining:
-                break
-            budget = _tail_weight(v)
-            if v == prev:
-                budget -= used_of_prev * v
-            if remaining - v <= budget - v:
-                chosen = v
-                break
-        if chosen is None:
-            raise InternalInvariantViolation(
-                f"greedy construction stuck at remainder {remaining} of {two_n}"
-            )
-        parts.append(chosen)
-        remaining -= chosen
-        if chosen == prev:
-            used_of_prev += 1
-        else:
-            prev, used_of_prev = chosen, 1
-    out = Partition(parts)
-    if out.weight != two_n:
-        raise InternalInvariantViolation(f"constructed weight {out.weight} != {two_n}")
+    root = math.isqrt(two_n)
+    top = root + root % 2
+    if top // 2 > _MAX_PARSED_PARTS:
+        raise InvalidArgument(
+            f"the minimal partition would have {top // 2} runs, above the cap of {_MAX_PARSED_PARTS}"
+        )
+    drop, rest = divmod(_tail_weight(top) - two_n, top)
+    runs = [(top, 4 - drop)] + [(v, 3 if v == rest else 4) for v in range(top - 2, 0, -2)]
+    out = Partition._from_runs(runs)
+    if out.weight != two_n or not is_grs_admissible(out):
+        raise InternalInvariantViolation(f"closed form gave {out} for weight {two_n}")
     return out
 
 
@@ -102,10 +93,10 @@ def nonsingular_partition(family: GroupFamily, n: int) -> Partition:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     e, odd = divmod(n, 2)
     if family is GroupFamily.C:
-        return Partition([2] * n)
+        return _shape((2, n))
     if family is GroupFamily.B:
-        return Partition([2] * (2 * e) + [1] * (3 if odd else 1))
-    return Partition([2] * (2 * e) + [1] * (2 if odd else 0))
+        return _shape((2, 2 * e), (1, 3 if odd else 1))
+    return _shape((2, 2 * e), (1, 2 if odd else 0))
 
 
 def nonsingular_expansion(family: GroupFamily, n: int) -> Partition:
@@ -129,14 +120,12 @@ def conjectured_so_lower_bound(family: GroupFamily, n: int) -> Partition:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     e, odd = divmod(n, 2)
     if family is GroupFamily.B:
-        if odd:
-            return Partition([3] * (e + 1) + [1] * e)
-        return Partition([3] * e + [1] * (e + 1))
+        return _shape((3, e + odd), (1, e + 1 - odd))
     if odd:
         if e < 1:
             raise InvalidArgument("no displayed bound for the even orthogonal group with n=1")
-        return Partition([5] + [3] * (e - 1) + [1] * e)
-    return Partition([3] * e + [1] * e)
+        return _shape((5, 1), (3, e - 1), (1, e))
+    return _shape((3, e), (1, e))
 
 
 def _assert_small_eta(psi: ArthurParameter) -> None:
@@ -160,6 +149,7 @@ def small_family_match(psi: ArthurParameter) -> FamilyMatch:
     if psi.is_generic():
         return none
     n = psi.n
+    claimed_pm = nonsingular_partition(GroupFamily.C, n)
     summands = psi.summands
 
     if len(summands) == 2:
@@ -174,13 +164,13 @@ def small_family_match(psi: ArthurParameter) -> FamilyMatch:
                 and c.central_char.triviality is not Triviality.NONTRIVIAL
             ):
                 _assert_small_eta(psi)
-                return FamilyMatch(SmallFamily.SAITO_KUROKAWA_EVEN, Partition([2] * n))
+                return FamilyMatch(SmallFamily.SAITO_KUROKAWA_EVEN, claimed_pm)
             if t.dual_type is SelfDualType.ORTHOGONAL and n % 2 == 1:
                 e = (n - 1) // 2
                 two_i = t.mult - 1
                 if e <= two_i <= 2 * e:
                     _assert_small_eta(psi)
-                    return FamilyMatch(SmallFamily.SAITO_KUROKAWA_ODD, Partition([2] * n))
+                    return FamilyMatch(SmallFamily.SAITO_KUROKAWA_ODD, claimed_pm)
 
     if len(summands) == 1:
         t = summands[0]
@@ -190,7 +180,7 @@ def small_family_match(psi: ArthurParameter) -> FamilyMatch:
             and t.central_char.triviality is not Triviality.NONTRIVIAL
         ):
             _assert_small_eta(psi)
-            return FamilyMatch(SmallFamily.RANK3_TOWER, Partition([2] * n))
+            return FamilyMatch(SmallFamily.RANK3_TOWER, claimed_pm)
 
     return none
 

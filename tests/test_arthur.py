@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 from cuspcheck import (
     ArthurParameter,
     CharacterLabel,
+    InvalidArgument,
+    InvalidPartition,
     ParameterError,
     Partition,
     SelfDualType,
     SimpleParameter,
     Triviality,
     parse_parameter,
+    parse_partition,
     render_parameter,
 )
 
@@ -159,6 +162,16 @@ class TestParse:
         for bad in ["", "(c,1)", "(2x,1)", "1c,7", "(1c 7)"]:
             with pytest.raises((InvalidArgument, ParameterError)):
                 parse_parameter(bad)
+
+    def test_overlong_integer_is_input_error(self):
+        # More digits than int() converts by default (4,300).
+        digits = "9" * 5000
+        for text in (f"(1c,{digits})", f"({digits}o,1)"):
+            with pytest.raises(InvalidArgument, match="too long"):
+                parse_parameter(text)
+        for text in (digits, f"2^{digits}"):
+            with pytest.raises(InvalidPartition, match="too long"):
+                parse_partition(text)
 
     def test_round_trip(self):
         for text in ["(1c,7)+(2s,2)", "(2s:tau,4)+(1c:1,1)", "(3o,5)", "(5o,1)+(2s,8)"]:

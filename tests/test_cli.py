@@ -229,6 +229,41 @@ class TestSmall:
         code, out, _ = run(capsys, "small", "--group", "so-even", "--n", "4")
         assert code == 0 and "(conjectural)" in out
 
+    @pytest.mark.parametrize(
+        "group,n,code",
+        [("so-odd", 10**30, 0), ("so-even", 10**30, 0), ("sp", 10**9, 0), ("sp", 10**30, 2)],
+    )
+    def test_large_n_is_bounded(self, capsys, group, n, code):
+        got, out, err = run(capsys, "small", "--group", group, "--n", str(n), "--format", "json")
+        assert got == code and "Traceback" not in err
+        if code:
+            assert out == "" and err.startswith("error: ")
+        else:
+            assert json.loads(out)["n"] == n
+
+
+LONG = "9" * 5000  # more digits than int() converts by default
+
+
+class TestOverlongIntegers:
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (("dual", LONG), 2),
+            (("collapse", f"2^{LONG}"), 2),
+            (("analyze", f"(1c,{LONG})"), 2),
+            (("bounds", f"({LONG}o,1)"), 2),
+            (("scan", "--template", f"(1c,{LONG})+(2s,$b)", "--range", "b=2:2"), 0),
+        ],
+        ids=["dual", "collapse", "analyze", "bounds", "scan"],
+    )
+    def test_input_error(self, capsys, argv, code):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code:
+            assert out == "" and err.startswith("error: ") and "too long" in err
+        else:  # scan reports the cell as Invalid, with the parse error
+            assert out.splitlines()[1].split()[:2] == ["2", "Invalid"] and "too long" in out
 
 class TestHarness:
     def test_unknown_verb_exits_2(self, capsys):

@@ -120,6 +120,57 @@ class TestNonsingular:
             assert nonsingular_expansion(GroupFamily.B, 2 * e + 1) == P([3] + [2] * (2 * e - 2) + [1] * 4)
 
 
+class TestTablesOverRuns:
+    SIZES = [*range(1, 301), 10**9]
+
+    @staticmethod
+    def expected(family, n):
+        # (nonsingular, expansion, conjectured bound) as runs, zero
+        # multiplicities dropped; the bound is None where none is displayed.
+        def runs(*pairs):
+            return [(v, m) for v, m in pairs if m]
+
+        e, odd = divmod(n, 2)
+        if family is GroupFamily.C:
+            return runs((2, n)), runs((2, n)), None
+        if family is GroupFamily.D:
+            ns = runs((2, 2 * e), (1, 2 * odd))
+            bound = runs((5, 1), (3, e - 1), (1, e)) if odd else runs((3, e), (1, e))
+            return ns, ns, bound if n > 1 else None
+        ns = runs((2, 2 * e), (1, 1 + 2 * odd))
+        exp = ns if n == 1 else runs((3, 1), (2, 2 * e - 2), (1, 2 + 2 * odd))
+        return ns, exp, runs((3, e + odd), (1, e + 1 - odd))
+
+    def test_displayed_shapes_build_no_value_lists(self, monkeypatch):
+        grs = {n: grs_minimal_partition(2 * n).exponents() for n in self.SIZES}
+
+        def no_value_list(self, values=()):
+            raise AssertionError("a table entry was built from a value list")
+
+        monkeypatch.setattr(Partition, "__init__", no_value_list)
+        cases = [(f, n) for f in GroupFamily for n in self.SIZES]
+        cases += [(f, 10**30) for f in (GroupFamily.B, GroupFamily.D)]
+        for family, n in cases:
+            ns, exp, bound = self.expected(family, n)
+            assert nonsingular_partition(family, n).exponents() == ns
+            assert nonsingular_expansion(family, n).exponents() == exp
+            if bound is not None:
+                assert conjectured_so_lower_bound(family, n).exponents() == bound
+            if family is GroupFamily.C:
+                assert grs_minimal_partition(2 * n).exponents() == grs[n]
+        assert small_family_match(parse_parameter("(3o,5)")).claimed_pm.exponents() == [(2, 7)]
+
+    def test_grs_minimal_at_scale(self):
+        # First part T = 44722 is the least even T with T(T+2) >= 2*10**9.
+        got = grs_minimal_partition(2 * 10**9)
+        assert got.weight == 2 * 10**9 and is_grs_admissible(got)
+        assert len(got.exponents()) == 22361 and got.part_at(0) == 44722
+
+    def test_runs_above_the_cap_rejected(self):
+        with pytest.raises(InvalidArgument, match="runs"):
+            grs_minimal_partition(2 * 10**30)
+
+
 class TestConjecturedLowerBound:
     @pytest.mark.parametrize(
         "family,n,expected",
