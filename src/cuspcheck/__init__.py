@@ -3,127 +3,24 @@
 The package decides, from published combinatorial criteria, when a global
 Arthur packet of a symplectic group provably contains no cuspidal members.
 Everything is exact integer/rational arithmetic; see the README for the
-command-line interface.
+command-line interface.  The public names are the union of the modules'
+``__all__`` lists.
 """
 
-from .errors import (
-    CuspcheckError,
-    InternalInvariantViolation,
-    InvalidArgument,
-    InvalidPartition,
-    InvalidWeight,
-    ParameterError,
-)
-from .partitions import (
-    GroupFamily,
-    Order,
-    Partition,
-    barbasch_vogan_dual,
-    compare_dominance,
-    compare_lex,
-    dominance_le,
-    enumerate_grs,
-    expansion,
-    is_grs_admissible,
-    is_special,
-    lex_le,
-    parse_partition,
-    partitions_of,
-    symplectic_collapse,
-)
-from .arthur import (
-    ArthurParameter,
-    CharacterLabel,
-    SelfDualType,
-    SimpleParameter,
-    Triviality,
-    parse_parameter,
-    render_parameter,
-)
-from .engine import (
-    Assumption,
-    BoundsReport,
-    FieldKind,
-    Firing,
-    OrderChoice,
-    ScanCell,
-    Status,
-    Verdict,
-    bounds,
-    grs_max_weight,
-    is_realizable,
-    rank_only_bound,
-    scan,
-    verdict,
-)
-from .satake import ThetaBound, check_r_theta, satake_exponent_bound
-from .smallrep import (
-    Existence,
-    FamilyMatch,
-    SmallFamily,
-    conjectured_so_lower_bound,
-    grs_minimal_partition,
-    hypercuspidal_existence,
-    nonsingular_expansion,
-    nonsingular_partition,
-    small_family_match,
-)
+from . import arthur, engine, errors, partitions, satake, smallrep
+from .errors import *
+from .partitions import *
+from .arthur import *
+from .engine import *
+from .satake import *
+from .smallrep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArthurParameter",
-    "Assumption",
-    "BoundsReport",
-    "CharacterLabel",
-    "CuspcheckError",
-    "Existence",
-    "FamilyMatch",
-    "FieldKind",
-    "Firing",
-    "GroupFamily",
-    "InternalInvariantViolation",
-    "InvalidArgument",
-    "InvalidPartition",
-    "InvalidWeight",
-    "Order",
-    "OrderChoice",
-    "ParameterError",
-    "Partition",
-    "ScanCell",
-    "SelfDualType",
-    "SimpleParameter",
-    "SmallFamily",
-    "Status",
-    "ThetaBound",
-    "Triviality",
-    "Verdict",
-    "barbasch_vogan_dual",
-    "bounds",
-    "check_r_theta",
-    "compare_dominance",
-    "compare_lex",
-    "conjectured_so_lower_bound",
-    "dominance_le",
-    "enumerate_grs",
-    "expansion",
-    "grs_max_weight",
-    "grs_minimal_partition",
-    "hypercuspidal_existence",
-    "is_grs_admissible",
-    "is_realizable",
-    "is_special",
-    "lex_le",
-    "nonsingular_expansion",
-    "nonsingular_partition",
-    "parse_parameter",
-    "parse_partition",
-    "partitions_of",
-    "rank_only_bound",
-    "render_parameter",
-    "satake_exponent_bound",
-    "scan",
-    "small_family_match",
-    "symplectic_collapse",
-    "verdict",
-]
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += partitions.__all__
+__all__ += arthur.__all__
+__all__ += engine.__all__
+__all__ += satake.__all__
+__all__ += smallrep.__all__

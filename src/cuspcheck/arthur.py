@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgument, ParameterError
-from .partitions import Partition, barbasch_vogan_dual
+from .partitions import Partition, _read_int, barbasch_vogan_dual
 
 __all__ = [
     "SelfDualType",
@@ -238,13 +238,7 @@ def parse_parameter(text: str) -> ArthurParameter:
         m = _SIMPLE.match(piece)
         if not m:
             raise InvalidArgument(f"cannot parse simple parameter {piece!r}")
-        try:
-            rank, mult = int(m.group(1)), int(m.group(4))
-        except ValueError:
-            # int() refuses more digits than the interpreter's conversion limit.
-            raise InvalidArgument(
-                f"simple parameter {idx} has an integer too long to read ({len(piece)} characters)"
-            ) from None
+        rank, mult = _read_int(m.group(1)), _read_int(m.group(4))
         typ = m.group(2)
         label = m.group(3) or _auto_label(idx)
         if typ == "c" and rank != 1:

@@ -14,9 +14,10 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .arthur import parse_parameter, render_parameter
+from .arthur import ArthurParameter, parse_parameter, render_parameter
 from .engine import (
     Assumption,
+    BoundsReport,
     FieldKind,
     ScanCell,
     Verdict,
@@ -27,6 +28,8 @@ from .engine import (
 from .errors import CuspcheckError, InternalInvariantViolation, InvalidArgument
 from .partitions import (
     GroupFamily,
+    Partition,
+    _read_int,
     barbasch_vogan_dual,
     parse_partition,
     symplectic_collapse,
@@ -42,12 +45,6 @@ from .smallrep import (
 
 __all__ = ["main", "build_parser"]
 
-_GROUPS = {
-    "sp": GroupFamily.C,
-    "so-odd": GroupFamily.B,
-    "so-even": GroupFamily.D,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,8 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
 
-    def field_flags(p: argparse.ArgumentParser) -> None:
+    def field_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--field", choices=[f.value for f in FieldKind], default="general")
+
+    def field_flags(p: argparse.ArgumentParser) -> None:
+        field_flag(p)
         p.add_argument(
             "--assume",
             action="append",
@@ -102,19 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("satake", help="Satake exponent bound for Sp(2n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", choices=[f.value for f in FieldKind], default="general")
+    field_flag(p)
     common(p)
 
     p = sub.add_parser("small", help="small-representation tables for one group")
-    p.add_argument("--group", choices=sorted(_GROUPS), required=True)
+    p.add_argument("--group", choices=sorted(g.value for g in GroupFamily), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--field", choices=[f.value for f in FieldKind], default="general")
+    field_flag(p)
     common(p)
 
     return parser
 
 
-def _parse_range(spec: str) -> tuple[str, list[int]]:
+def _parse_range(spec: str) -> tuple[str, range]:
     name, eq, body = spec.partition("=")
     if not eq or not name:
         raise InvalidArgument(f"range must look like NAME=START:STOP:STEP, got {spec!r}")
@@ -122,13 +122,13 @@ def _parse_range(spec: str) -> tuple[str, list[int]]:
     if len(pieces) not in (2, 3):
         raise InvalidArgument(f"range must look like NAME=START:STOP:STEP, got {spec!r}")
     try:
-        start, stop = int(pieces[0]), int(pieces[1])
-        step = int(pieces[2]) if len(pieces) == 3 else 1
+        start, stop = _read_int(pieces[0]), _read_int(pieces[1])
+        step = _read_int(pieces[2]) if len(pieces) == 3 else 1
     except ValueError:
         raise InvalidArgument(f"range bounds must be integers in {spec!r}") from None
     if step < 1:
         raise InvalidArgument(f"range step must be positive in {spec!r}")
-    return name, list(range(start, stop + 1, step))
+    return name, range(start, stop + 1, step)
 
 
 def _kv_block(rows: list[tuple[str, str]]) -> str:
@@ -136,17 +136,20 @@ def _kv_block(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k.ljust(width)} = {v}" for k, v in rows)
 
 
-def _verdict_text(param_text: str, v: Verdict) -> str:
-    rows = [
-        ("parameter", param_text),
-        ("n", str(v.n)),
-        ("p_psi", str(v.p_psi)),
-        ("eta", str(v.eta)),
-        ("N_a", str(v.bounds.n_a)),
-        ("N1", f"{v.bounds.n1}  witness {v.bounds.n1_witness}"),
-        ("N2", f"{v.bounds.n2}  witness {v.bounds.n2_witness}"),
-        ("status", v.status.value),
+def _bounds_rows(psi: ArthurParameter, eta: Partition, report: BoundsReport) -> list[tuple[str, str]]:
+    return [
+        ("parameter", render_parameter(psi)),
+        ("n", str(psi.n)),
+        ("p_psi", str(psi.attached_partition())),
+        ("eta", str(eta)),
+        ("N_a", str(report.n_a)),
+        ("N1", f"{report.n1}  witness {report.n1_witness}"),
+        ("N2", f"{report.n2}  witness {report.n2_witness}"),
     ]
+
+
+def _verdict_text(psi: ArthurParameter, v: Verdict) -> str:
+    rows = [*_bounds_rows(psi, v.eta, v.bounds), ("status", v.status.value)]
     lines = [_kv_block(rows), "firings:"]
     if v.firings:
         for f in v.firings:
@@ -167,26 +170,22 @@ def _rules_text(cell: ScanCell) -> str:
     return ";".join(f.rule for f in cell.verdict.firings)
 
 
-def _scan_text(names: list[str], cells: list[ScanCell]) -> str:
-    header = [*names, "status", "rules"]
-    rows = [header]
+def _scan_rows(names: list[str], cells: list[ScanCell]) -> list[list[str]]:
+    # A cell's slots come in the order of the ranges, as the names do.
+    rows = [[*names, "status", "rules"]]
     for cell in cells:
-        values = dict(cell.slots)
-        rows.append([str(values[n]) for n in names] + [cell.status_text, _rules_text(cell)])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    out = []
-    for r in rows:
-        out.append("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
-    return "\n".join(out)
+        rows.append([*(str(v) for _, v in cell.slots), cell.status_text, _rules_text(cell)])
+    return rows
 
 
-def _scan_csv(names: list[str], cells: list[ScanCell]) -> str:
+def _scan_text(rows: list[list[str]]) -> str:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return "\n".join("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip() for r in rows)
+
+
+def _scan_csv(rows: list[list[str]]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*names, "status", "rules"])
-    for cell in cells:
-        values = dict(cell.slots)
-        writer.writerow([values[n] for n in names] + [cell.status_text, _rules_text(cell)])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().rstrip("\n")
 
 
@@ -225,7 +224,7 @@ def _run_analyze(args) -> str:
     v = verdict(psi, FieldKind(args.field), _assumptions(args))
     if args.format == "json":
         return _json_text(v.to_dict())
-    return _verdict_text(render_parameter(psi), v)
+    return _verdict_text(psi, v)
 
 
 def _run_bounds(args) -> str:
@@ -241,17 +240,7 @@ def _run_bounds(args) -> str:
                 "bounds": report.to_dict(),
             }
         )
-    return _kv_block(
-        [
-            ("parameter", render_parameter(psi)),
-            ("n", str(psi.n)),
-            ("p_psi", str(psi.attached_partition())),
-            ("eta", str(eta)),
-            ("N_a", str(report.n_a)),
-            ("N1", f"{report.n1}  witness {report.n1_witness}"),
-            ("N2", f"{report.n2}  witness {report.n2_witness}"),
-        ]
-    )
+    return _kv_block(_bounds_rows(psi, eta, report))
 
 
 def _run_scan(args) -> str:
@@ -267,18 +256,18 @@ def _run_scan(args) -> str:
                 "cells": [c.to_dict() for c in cells],
             }
         )
-    if args.format == "csv":
-        return _scan_csv(names, cells)
-    return _scan_text(names, cells)
+    rows = _scan_rows(names, cells)
+    return _scan_csv(rows) if args.format == "csv" else _scan_text(rows)
 
 
 def _run_satake(args) -> str:
-    bound = satake_exponent_bound(args.n, FieldKind(args.field))
+    n = _read_int(args.n)
+    bound = satake_exponent_bound(n, FieldKind(args.field))
     if args.format == "json":
         return _json_text(bound.to_dict())
     return _kv_block(
         [
-            ("n", str(args.n)),
+            ("n", str(n)),
             ("field", args.field),
             ("theta", str(bound.theta)),
             ("sharp", "true" if bound.sharp else "false"),
@@ -288,42 +277,27 @@ def _run_satake(args) -> str:
 
 
 def _run_small(args) -> str:
-    family = _GROUPS[args.group]
-    field = FieldKind(args.field)
-    n = args.n
-    ns = nonsingular_partition(family, n)
-    exp = nonsingular_expansion(family, n)
+    family = GroupFamily(args.group)
+    n = _read_int(args.n)
+    payload: dict = {
+        "group": args.group,
+        "n": n,
+        "nonsingular": str(nonsingular_partition(family, n)),
+        "expansion": str(nonsingular_expansion(family, n)),
+    }
     if family is GroupFamily.C:
-        payload: dict = {
-            "group": args.group,
-            "n": n,
-            "nonsingular": str(ns),
-            "expansion": str(exp),
-            "grs_minimal": str(grs_minimal_partition(2 * n)),
-            "hypercuspidal": hypercuspidal_existence(n, field).value,
-        }
+        payload["grs_minimal"] = str(grs_minimal_partition(2 * n))
+        payload["hypercuspidal"] = hypercuspidal_existence(n, FieldKind(args.field)).value
     else:
-        payload = {
-            "group": args.group,
-            "n": n,
-            "nonsingular": str(ns),
-            "expansion": str(exp),
-            "conjectured_lower_bound": {
-                "partition": str(conjectured_so_lower_bound(family, n)),
-                "conjectural": True,
-            },
+        payload["conjectured_lower_bound"] = {
+            "partition": str(conjectured_so_lower_bound(family, n)),
+            "conjectural": True,
         }
     if args.format == "json":
         return _json_text(payload)
-    rows = [("group", args.group), ("n", str(n)), ("nonsingular", str(ns)), ("expansion", str(exp))]
-    if family is GroupFamily.C:
-        rows.append(("grs_minimal", payload["grs_minimal"]))
-        rows.append(("hypercuspidal", payload["hypercuspidal"]))
-    else:
-        rows.append(
-            ("conjectured_lower_bound", payload["conjectured_lower_bound"]["partition"] + "  (conjectural)")
-        )
-    return _kv_block(rows)
+    return _kv_block(
+        [(k, f"{v['partition']}  (conjectural)" if isinstance(v, dict) else str(v)) for k, v in payload.items()]
+    )
 
 
 _HANDLERS = {

@@ -10,6 +10,7 @@ fired and which conjectural assumption (if any) each conclusion needs.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,6 +41,9 @@ __all__ = [
     "verdict",
     "scan",
 ]
+
+# Most cells a ``scan`` grid may have; the same bound as on parsed partitions.
+_MAX_SCAN_CELLS = 100_000
 
 
 class FieldKind(Enum):
@@ -433,7 +437,8 @@ def scan(
 
     ``ranges`` is an ordered list of (slot name, values); the grid is walked
     row-major in that order.  Cells whose instantiation fails validation are
-    reported with status Invalid rather than dropped.
+    reported with status Invalid rather than dropped.  A grid of more than
+    ``_MAX_SCAN_CELLS`` cells is rejected before any cell is built.
     """
     names = [name for name, _ in ranges]
     if len(set(names)) != len(names):
@@ -444,6 +449,12 @@ def scan(
         raise InvalidArgument(
             f"template slots {sorted(slots)} do not match range names {sorted(names)}"
         )
+    try:
+        cells = math.prod(len(vals) for _, vals in ranges)
+    except OverflowError:  # len() of a range longer than sys.maxsize
+        cells = math.inf
+    if cells > _MAX_SCAN_CELLS:
+        raise InvalidArgument(f"the scan grid has more than {_MAX_SCAN_CELLS} cells")
     active = frozenset(assumptions)
 
     def evaluate(combo: tuple[int, ...]) -> ScanCell:

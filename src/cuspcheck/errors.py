@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CuspcheckError",
+    "InvalidPartition",
+    "InvalidWeight",
+    "InvalidArgument",
+    "InternalInvariantViolation",
+    "ParameterError",
+]
+
 
 class CuspcheckError(Exception):
     """Base class for every error raised by this package."""

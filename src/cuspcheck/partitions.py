@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import (
+    CuspcheckError,
     InternalInvariantViolation,
     InvalidArgument,
     InvalidPartition,
@@ -35,12 +36,31 @@ __all__ = [
     "is_special",
     "expansion",
     "is_grs_admissible",
-    "enumerate_grs",
     "partitions_of",
 ]
 
 # Guard against absurd exponents in parsed input ("2^99999999").
 _MAX_PARSED_PARTS = 100_000
+
+# An integer read from input has at most this many digits, so a value derived
+# from inputs (at most a product of two of them times 100,000) stays inside the
+# interpreter's 4,300-digit limit on int() and str(), and can be printed.
+_MAX_DIGITS = 2_000
+
+
+def _read_int(text: str | int, error: type[CuspcheckError] = InvalidArgument) -> int:
+    """``int(text)`` for an integer from input, refusing more than ``_MAX_DIGITS`` digits.
+
+    Text is measured by its length and an int (argparse's ``type=int``) by its
+    magnitude: neither can raise, where ``int()`` and ``str()`` do past their limit.
+    """
+    if isinstance(text, int):
+        too_long = abs(text) >= 10**_MAX_DIGITS
+    else:
+        too_long = len(text.strip().lstrip("+-")) > _MAX_DIGITS
+    if too_long:
+        raise error(f"integer too long to read (more than {_MAX_DIGITS} digits)")
+    return int(text)
 
 
 class Partition:
@@ -261,14 +281,8 @@ def parse_partition(text: str) -> Partition:
         m = _TERM.match(tok)
         if not m:
             raise InvalidPartition(f"cannot parse partition term {tok!r}")
-        try:
-            base = int(m.group(1))
-            mult = int(m.group(2)) if m.group(2) is not None else 1
-        except ValueError:
-            # int() refuses more digits than the interpreter's conversion limit.
-            raise InvalidPartition(
-                f"partition term has an integer too long to read ({len(tok)} characters)"
-            ) from None
+        base = _read_int(m.group(1), InvalidPartition)
+        mult = _read_int(m.group(2), InvalidPartition) if m.group(2) is not None else 1
         if mult > _MAX_PARSED_PARTS or len(values) + mult > _MAX_PARSED_PARTS:
             raise InvalidPartition(f"partition too large in term {tok!r}")
         values.extend([base] * mult)
@@ -462,21 +476,6 @@ def is_grs_admissible(p: Partition) -> bool:
     cuspidal representation over a totally imaginary field.
     """
     return all(v % 2 == 0 and 1 <= m <= 4 for v, m in p.exponents())
-
-
-def enumerate_grs(max_part: int) -> set[Partition]:
-    """All GRS-admissible partitions with parts at most ``max_part``.
-
-    Includes the empty partition.  Grows as 5**(max_part/2); intended for
-    small bounds (oracles and tests).
-    """
-    if max_part < 0 or max_part % 2:
-        raise InvalidArgument(f"max_part must be even and non-negative, got {max_part}")
-    values = list(range(2, max_part + 1, 2))
-    out = set()
-    for mults in itertools.product(range(5), repeat=len(values)):
-        out.add(Partition(itertools.chain.from_iterable([v] * m for v, m in zip(values, mults))))
-    return out
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

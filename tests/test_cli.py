@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -264,6 +265,36 @@ class TestOverlongIntegers:
             assert out == "" and err.startswith("error: ") and "too long" in err
         else:  # scan reports the cell as Invalid, with the parse error
             assert out.splitlines()[1].split()[:2] == ["2", "Invalid"] and "too long" in out
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("collapse", f"{'9' * 4300}^2 1"),
+            ("satake", "--n", "9" * 4300),
+            ("small", "--group", "so-odd", "--n", "9" * 2001),
+            ("scan", "--template", "(1c,$b)+(2s,2)", "--range", f"b={'9' * 2001}:1"),
+        ],
+        ids=["collapse", "satake", "small", "scan-range-bound"],
+    )
+    def test_integer_over_2000_digits_is_input_error(self, capsys, argv):
+        # collapse and satake would print an integer past the 4,300-digit
+        # limit of str(); every integer read from input has at most 2,000.
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("bounds", ["1:100000000:2", "1:1000000000000000000000000000000"])
+    def test_over_cap_scan_is_input_error(self, capsys, bounds):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "scan", "--template", "(1c,$b)+(2s,2)", "--range", f"b={bounds}", "--format", "csv"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == "error: the scan grid has more than 100000 cells\n"
+
 
 class TestHarness:
     def test_unknown_verb_exits_2(self, capsys):

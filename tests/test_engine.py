@@ -21,6 +21,7 @@ from cuspcheck import (
     scan,
     verdict,
 )
+from cuspcheck import engine
 
 import oracles
 
@@ -301,6 +302,22 @@ class TestScan:
         # An escaped $$ is a literal dollar sign, not a slot.
         with pytest.raises(InvalidArgument, match="slots"):
             scan("(1c,$$b)+(2s,2)", [("b", [1])])
+
+    def test_over_cap_grid_rejected(self):
+        # Counted before any cell is built; the second grid is longer than
+        # len() of a range can report.
+        for ranges in (
+            [("b1", range(1, 1001)), ("b2", range(1, 102))],
+            [("b1", range(1, 10**30)), ("b2", [2])],
+        ):
+            with pytest.raises(InvalidArgument, match="more than 100000 cells"):
+                scan("(1c,$b1)+(2s,$b2)", ranges)
+
+    def test_cap_counts_cells(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_SCAN_CELLS", 4)
+        assert len(scan("(1c,$b1)+(2s,$b2)", [("b1", [1, 3]), ("b2", [2, 4])])) == 4
+        with pytest.raises(InvalidArgument, match="more than 4 cells"):
+            scan("(1c,$b1)+(2s,$b2)", [("b1", [1, 3, 5]), ("b2", [2, 4])])
 
 
 class TestInvariants:

@@ -13,7 +13,6 @@ from cuspcheck import (
     compare_dominance,
     compare_lex,
     dominance_le,
-    enumerate_grs,
     expansion,
     is_grs_admissible,
     is_special,
@@ -23,10 +22,12 @@ from cuspcheck import (
     symplectic_collapse,
 )
 from cuspcheck.partitions import (
+    _MAX_DIGITS,
     _collapse,
     _dual_collapse_then_transpose,
     _dual_transpose_then_collapse,
     _family_admits,
+    _read_int,
 )
 
 import oracles
@@ -340,13 +341,14 @@ class TestGrs:
         assert is_grs_admissible(P())
 
     def test_enumerate_small(self):
-        assert enumerate_grs(2) == {P(), P([2]), P([2, 2]), P([2, 2, 2]), P([2, 2, 2, 2])}
-        assert enumerate_grs(0) == {P()}
-        assert len(enumerate_grs(4)) == 25
+        grs = oracles.grs_with_parts_at_most
+        assert set(grs(2)) == {P(), P([2]), P([2, 2]), P([2, 2, 2]), P([2, 2, 2, 2])}
+        assert grs(0) == (P(),)
+        assert len(grs(4)) == 25 and all(is_grs_admissible(p) for p in grs(4))
 
-    def test_enumerate_odd_rejected(self):
-        with pytest.raises(InvalidArgument):
-            enumerate_grs(3)
+    def test_enumerate_odd_bound_same_as_even(self):
+        # Admissible parts are even, so parts <= 3 means parts <= 2.
+        assert oracles.grs_with_parts_at_most(3) == oracles.grs_with_parts_at_most(2)
 
 
 class TestEnumeration:
@@ -394,3 +396,13 @@ class TestParseRender:
         for bad in ["x", "2^^3", "[1,", "3 -1", "2^999999999"]:
             with pytest.raises(InvalidPartition):
                 parse_partition(bad)
+
+    def test_integers_capped_at_2000_digits(self):
+        at_cap = "9" * _MAX_DIGITS
+        assert parse_partition(f"{at_cap}^2").weight == 2 * int(at_cap)
+        with pytest.raises(InvalidPartition, match="more than 2000 digits"):
+            parse_partition("9" + at_cap)
+        assert _read_int("-" + at_cap) == _read_int(-int(at_cap)) == -int(at_cap)
+        for over in ("1" + "0" * _MAX_DIGITS, 10**_MAX_DIGITS, -(10**_MAX_DIGITS)):
+            with pytest.raises(InvalidArgument, match="more than 2000 digits"):
+                _read_int(over)
