@@ -150,10 +150,11 @@ class ArthurParameter:
 
     Construction runs full validation and raises :class:`ParameterError`
     carrying every violation.  Advisory findings (the central-character
-    product condition) are attached as ``warnings``.
+    product condition) are attached as ``warnings``.  A valid parameter then
+    builds its attached partition and that partition's dual, once.
     """
 
-    __slots__ = ("_summands", "_n", "_warnings")
+    __slots__ = ("_summands", "_n", "_warnings", "_p_psi", "_eta")
 
     def __init__(self, summands: Iterable[SimpleParameter]):
         summands = tuple(summands)
@@ -165,6 +166,11 @@ class ArthurParameter:
         self._summands = summands
         self._n = (sum(s.size for s in summands) - 1) // 2
         self._warnings = _central_char_warnings(summands)
+        rows: dict[int, int] = {}
+        for s in summands:
+            rows[s.mult] = rows.get(s.mult, 0) + s.rank
+        self._p_psi = Partition._from_runs(sorted(rows.items(), reverse=True))
+        self._eta = barbasch_vogan_dual(self._p_psi)
 
     @property
     def summands(self) -> tuple[SimpleParameter, ...]:
@@ -182,23 +188,17 @@ class ArthurParameter:
     def ranks(self) -> tuple[int, ...]:
         return tuple(s.rank for s in self._summands)
 
-    def mults(self) -> tuple[int, ...]:
-        return tuple(s.mult for s in self._summands)
-
     def is_generic(self) -> bool:
         """True when every multiplicity is one."""
         return all(s.mult == 1 for s in self._summands)
 
     def attached_partition(self) -> Partition:
         """The partition of 2n+1 with each multiplicity repeated rank times."""
-        rows: dict[int, int] = {}
-        for s in self._summands:
-            rows[s.mult] = rows.get(s.mult, 0) + s.rank
-        return Partition._from_runs(sorted(rows.items(), reverse=True))
+        return self._p_psi
 
     def dual_partition(self) -> Partition:
         """Dual of the attached partition: a symplectic partition of 2n."""
-        return barbasch_vogan_dual(self.attached_partition())
+        return self._eta
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ArthurParameter) and self._summands == other._summands
@@ -214,7 +214,7 @@ class ArthurParameter:
 
 
 _SIMPLE = re.compile(
-    r"^\(\s*(\d+)\s*([osc])\s*(?::\s*([^\s,()]+)\s*)?,\s*(\d+)\s*\)$"
+    r"^\(\s*([0-9]+)\s*([osc])\s*(?::\s*([^\s,()]+)\s*)?,\s*([0-9]+)\s*\)$"
 )
 
 

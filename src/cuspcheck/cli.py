@@ -28,7 +28,6 @@ from .engine import (
 from .errors import CuspcheckError, InternalInvariantViolation, InvalidArgument
 from .partitions import (
     GroupFamily,
-    Partition,
     _read_int,
     barbasch_vogan_dual,
     parse_partition,
@@ -136,12 +135,12 @@ def _kv_block(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{k.ljust(width)} = {v}" for k, v in rows)
 
 
-def _bounds_rows(psi: ArthurParameter, eta: Partition, report: BoundsReport) -> list[tuple[str, str]]:
+def _bounds_rows(psi: ArthurParameter, report: BoundsReport) -> list[tuple[str, str]]:
     return [
         ("parameter", render_parameter(psi)),
         ("n", str(psi.n)),
         ("p_psi", str(psi.attached_partition())),
-        ("eta", str(eta)),
+        ("eta", str(psi.dual_partition())),
         ("N_a", str(report.n_a)),
         ("N1", f"{report.n1}  witness {report.n1_witness}"),
         ("N2", f"{report.n2}  witness {report.n2_witness}"),
@@ -149,7 +148,7 @@ def _bounds_rows(psi: ArthurParameter, eta: Partition, report: BoundsReport) -> 
 
 
 def _verdict_text(psi: ArthurParameter, v: Verdict) -> str:
-    rows = [*_bounds_rows(psi, v.eta, v.bounds), ("status", v.status.value)]
+    rows = [*_bounds_rows(psi, v.bounds), ("status", v.status.value)]
     lines = [_kv_block(rows), "firings:"]
     if v.firings:
         for f in v.firings:
@@ -215,13 +214,9 @@ def _run_collapse(args) -> str:
     return _kv_block([("p", str(p)), ("collapse", str(c))])
 
 
-def _assumptions(args) -> frozenset[Assumption]:
-    return frozenset(Assumption(a) for a in args.assume)
-
-
 def _run_analyze(args) -> str:
     psi = parse_parameter(args.parameter)
-    v = verdict(psi, FieldKind(args.field), _assumptions(args))
+    v = verdict(psi, args.field, args.assume)
     if args.format == "json":
         return _json_text(v.to_dict())
     return _verdict_text(psi, v)
@@ -229,30 +224,29 @@ def _run_analyze(args) -> str:
 
 def _run_bounds(args) -> str:
     psi = parse_parameter(args.parameter)
-    eta = psi.dual_partition()
-    report = bounds(psi, eta)
+    report = bounds(psi)
     if args.format == "json":
         return _json_text(
             {
                 "n": psi.n,
                 "p_psi": str(psi.attached_partition()),
-                "eta": str(eta),
+                "eta": str(psi.dual_partition()),
                 "bounds": report.to_dict(),
             }
         )
-    return _kv_block(_bounds_rows(psi, eta, report))
+    return _kv_block(_bounds_rows(psi, report))
 
 
 def _run_scan(args) -> str:
     ranges = [_parse_range(spec) for spec in args.ranges]
     names = [name for name, _ in ranges]
-    cells = scan(args.template, ranges, FieldKind(args.field), _assumptions(args))
+    cells = scan(args.template, ranges, args.field, args.assume)
     if args.format == "json":
         return _json_text(
             {
                 "template": args.template,
                 "field": args.field,
-                "assumptions": sorted(a.value for a in _assumptions(args)),
+                "assumptions": sorted(set(args.assume)),
                 "cells": [c.to_dict() for c in cells],
             }
         )
@@ -262,7 +256,7 @@ def _run_scan(args) -> str:
 
 def _run_satake(args) -> str:
     n = _read_int(args.n)
-    bound = satake_exponent_bound(n, FieldKind(args.field))
+    bound = satake_exponent_bound(n, args.field)
     if args.format == "json":
         return _json_text(bound.to_dict())
     return _kv_block(
@@ -287,7 +281,7 @@ def _run_small(args) -> str:
     }
     if family is GroupFamily.C:
         payload["grs_minimal"] = str(grs_minimal_partition(2 * n))
-        payload["hypercuspidal"] = hypercuspidal_existence(n, FieldKind(args.field)).value
+        payload["hypercuspidal"] = hypercuspidal_existence(n, args.field).value
     else:
         payload["conjectured_lower_bound"] = {
             "partition": str(conjectured_so_lower_bound(family, n)),

@@ -23,7 +23,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import Partition, is_grs_admissible
+from .partitions import Partition, _read_enum, is_grs_admissible
 
 __all__ = [
     "FieldKind",
@@ -148,8 +148,10 @@ def rank_only_bound(ranks: Sequence[int]) -> int:
     """
     if not ranks:
         raise InvalidArgument("rank tuple must be nonempty")
+    if min(ranks) < 1:
+        raise InvalidArgument(f"rank must be at least 1, got {min(ranks)}")
     a = sum(ranks)
-    return a * a + 2 * a if a % 2 == 0 else a * a - 1
+    return _tail_weight(a - a % 2)
 
 
 def is_realizable(ranks: Sequence[int], mults: Sequence[int]) -> bool:
@@ -169,7 +171,7 @@ def is_realizable(ranks: Sequence[int], mults: Sequence[int]) -> bool:
 
 
 def _tail_weight(top: int) -> int:
-    # 4 * (2 + 4 + ... + top)
+    # 4 * (2 + 4 + ... + top) = top * (top + 2) for an even top
     half = top // 2
     return 4 * half * (half + 1)
 
@@ -268,24 +270,18 @@ def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
     largest witness.  An empty feasible set can only mean the empty
     partition, reported as (0, []).
     """
+    order = _read_enum(OrderChoice, order)
     if not eta.is_symplectic():
         raise InvalidArgument(f"expected a symplectic partition, got {eta}")
     if order is OrderChoice.LEX:
         return _max_grs_lex(eta)
-    if order is OrderChoice.DOMINANCE:
-        return _max_grs_dominated(eta)
-    raise InvalidArgument(f"unknown order choice {order!r}")
+    return _max_grs_dominated(eta)
 
 
-def bounds(psi: ArthurParameter, eta: Optional[Partition] = None) -> BoundsReport:
-    """The bound triple for a parameter, with maximizer witnesses.
-
-    ``eta``, when given, must be ``psi.dual_partition()``; callers that
-    already hold it pass it to avoid computing the dual again.
-    """
+def bounds(psi: ArthurParameter) -> BoundsReport:
+    """The bound triple for a parameter, with maximizer witnesses."""
     n_a = rank_only_bound(psi.ranks())
-    if eta is None:
-        eta = psi.dual_partition()
+    eta = psi.dual_partition()
     n1, w1 = grs_max_weight(eta, OrderChoice.LEX)
     n2, w2 = grs_max_weight(eta, OrderChoice.DOMINANCE)
     if not (n2 <= n1 <= n_a and n2 <= 2 * psi.n):
@@ -361,11 +357,12 @@ def verdict(
     Conditional rules always fire and are recorded; only the status
     aggregation filters on the active assumption set.  Absence of any firing
     yields Undetermined: the criteria are one-directional, so nothing is ever
-    upgraded to ContainsCuspidal except the proved generic case.
+    upgraded to ContainsCuspidal except the proved generic case.  ``field``
+    and each assumption are members or their values.
     """
-    active = frozenset(assumptions)
-    eta = psi.dual_partition()
-    report = bounds(psi, eta)
+    field = _read_enum(FieldKind, field)
+    active = frozenset([_read_enum(Assumption, a) for a in assumptions])
+    report = bounds(psi)
     firings = _evaluate_rules(psi, field, report)
     effective = {
         f.implies
@@ -386,7 +383,7 @@ def verdict(
         status=status,
         n=psi.n,
         p_psi=psi.attached_partition(),
-        eta=eta,
+        eta=psi.dual_partition(),
         bounds=report,
         firings=firings,
         warnings=psi.warnings,
@@ -440,6 +437,8 @@ def scan(
     reported with status Invalid rather than dropped.  A grid of more than
     ``_MAX_SCAN_CELLS`` cells is rejected before any cell is built.
     """
+    field = _read_enum(FieldKind, field)
+    active = frozenset([_read_enum(Assumption, a) for a in assumptions])
     names = [name for name, _ in ranges]
     if len(set(names)) != len(names):
         raise InvalidArgument("duplicate slot name in ranges")
@@ -455,7 +454,6 @@ def scan(
         cells = math.inf
     if cells > _MAX_SCAN_CELLS:
         raise InvalidArgument(f"the scan grid has more than {_MAX_SCAN_CELLS} cells")
-    active = frozenset(assumptions)
 
     def evaluate(combo: tuple[int, ...]) -> ScanCell:
         cell_slots = tuple(zip(names, combo))

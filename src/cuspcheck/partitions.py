@@ -51,16 +51,37 @@ _MAX_DIGITS = 2_000
 def _read_int(text: str | int, error: type[CuspcheckError] = InvalidArgument) -> int:
     """``int(text)`` for an integer from input, refusing more than ``_MAX_DIGITS`` digits.
 
-    Text is measured by its length and an int (argparse's ``type=int``) by its
-    magnitude: neither can raise, where ``int()`` and ``str()`` do past their limit.
+    Text must be ASCII digits with an optional sign and surrounding ASCII
+    whitespace; anything else raises ``ValueError``, as ``int()`` does.
+    Text is measured by its length and an int (argparse's ``type=int``) by
+    its magnitude: neither can raise, where ``int()`` and ``str()`` do past
+    their limit.
     """
     if isinstance(text, int):
         too_long = abs(text) >= 10**_MAX_DIGITS
     else:
+        # On ASCII text without underscores, int() reads exactly that grammar.
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"not an integer: {text!r}")
         too_long = len(text.strip().lstrip("+-")) > _MAX_DIGITS
     if too_long:
         raise error(f"integer too long to read (more than {_MAX_DIGITS} digits)")
     return int(text)
+
+
+def _read_enum(kind: type[Enum], value: object) -> Enum:
+    """``kind(value)`` for an enum argument: a member or its value.
+
+    Anything else raises :class:`InvalidArgument`, so a wrong value cannot
+    fall through the ``is`` checks that callers dispatch on.
+    """
+    if type(value) is kind:  # a member: skip the enum's slower lookup
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        choices = ", ".join(repr(m.value) for m in kind)
+        raise InvalidArgument(f"{kind.__name__} must be a member or one of {choices}, got {value!r}") from None
 
 
 class Partition:
@@ -263,7 +284,7 @@ class Order(Enum):
     INCOMPARABLE = "Incomparable"
 
 
-_TERM = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_TERM = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_partition(text: str) -> Partition:
@@ -445,6 +466,7 @@ def is_special(p: Partition, family: GroupFamily) -> bool:
     transpose is symplectic.  Validated against the brute-force duality-image
     characterization for type C and the known small verdicts for B/D.
     """
+    family = _read_enum(GroupFamily, family)
     _require_admissible(p, family)
     t = p.transpose()
     if family is GroupFamily.B:
@@ -460,6 +482,7 @@ def expansion(p: Partition, family: GroupFamily) -> Partition:
     symplectic collapse for C and D.  Verified against the brute-force
     dominance minimum in the test suite.
     """
+    family = _read_enum(GroupFamily, family)
     _require_admissible(p, family)
     out = _collapse(p.transpose(), 0 if family is GroupFamily.B else 1).transpose()
     if not (_family_admits(out, family) and is_special(out, family) and dominance_le(p, out)):

@@ -14,6 +14,7 @@ from typing import Iterable, Union
 
 from .engine import FieldKind
 from .errors import InvalidArgument
+from .partitions import _read_enum
 
 __all__ = ["ThetaBound", "satake_exponent_bound", "check_r_theta"]
 
@@ -43,6 +44,7 @@ def satake_exponent_bound(n: int, field: FieldKind = FieldKind.GENERAL) -> Theta
     Odd n otherwise (including totally imaginary with n < 5): 7/64 + (n-1)/2,
     inherited from the rank-2 exponent bound.
     """
+    field = _read_enum(FieldKind, field)
     if n < 1:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     if n % 2 == 0:

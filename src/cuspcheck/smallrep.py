@@ -13,7 +13,7 @@ from typing import Optional
 from .arthur import ArthurParameter, SelfDualType, Triviality
 from .engine import FieldKind, _tail_weight
 from .errors import InternalInvariantViolation, InvalidArgument
-from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, expansion, is_grs_admissible
+from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, _read_enum, expansion, is_grs_admissible
 
 __all__ = [
     "SmallFamily",
@@ -89,6 +89,7 @@ def nonsingular_partition(family: GroupFamily, n: int) -> Partition:
     Cuspidal forms are non-singular, so their wave-front partitions all lie
     above this one.
     """
+    family = _read_enum(GroupFamily, family)
     if n < 1:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     e, odd = divmod(n, 2)
@@ -114,6 +115,7 @@ def conjectured_so_lower_bound(family: GroupFamily, n: int) -> Partition:
     These values are conjectural; renderings downstream must flag them as
     such.  The displayed formulas do not cover the degenerate case (D, n=1).
     """
+    family = _read_enum(GroupFamily, family)
     if family is GroupFamily.C:
         raise InvalidArgument("conjectured lower bound applies to families B and D only")
     if n < 1:
@@ -191,6 +193,7 @@ def hypercuspidal_existence(n: int, field: FieldKind) -> Existence:
     They provably do not exist over totally imaginary fields once n >= 5;
     every other case is open here.
     """
+    field = _read_enum(FieldKind, field)
     if n < 1:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     if field is FieldKind.TOTALLY_IMAGINARY and n >= 5:

@@ -1,8 +1,36 @@
-"""The package's public names: pinned, unique, resolvable, and library-only."""
+"""The package's public names: pinned, unique, resolvable, and library-only;
+and its enum arguments, which take a member or its value and nothing else."""
+
+import pytest
 
 import cuspcheck
 import cuspcheck.cli
-from cuspcheck import arthur, engine, errors, partitions, satake, smallrep
+from cuspcheck import (
+    Assumption,
+    FieldKind,
+    GroupFamily,
+    InvalidArgument,
+    InvalidPartition,
+    OrderChoice,
+    Partition,
+    Status,
+    arthur,
+    conjectured_so_lower_bound,
+    engine,
+    errors,
+    expansion,
+    grs_max_weight,
+    hypercuspidal_existence,
+    is_special,
+    nonsingular_partition,
+    parse_parameter,
+    partitions,
+    satake,
+    satake_exponent_bound,
+    scan,
+    smallrep,
+    verdict,
+)
 
 PUBLIC = [
     "ArthurParameter", "Assumption", "BoundsReport", "CharacterLabel", "CuspcheckError",
@@ -34,3 +62,41 @@ def test_nothing_from_the_cli_is_exported():
     assert not set(cuspcheck.__all__) & set(cuspcheck.cli.__all__)
     for name in cuspcheck.__all__:
         assert getattr(getattr(cuspcheck, name), "__module__", None) != "cuspcheck.cli", name
+
+
+TI = FieldKind.TOTALLY_IMAGINARY
+SPEH = parse_parameter("(1c,1)+(4s,8)")
+
+# (call taking one enum argument, a member of that argument's enum)
+ENUM_CALLS = {
+    "verdict-field": (lambda x: verdict(SPEH, x).to_dict(), TI),
+    "verdict-assumption": (lambda x: verdict(SPEH, TI, [x]).to_dict(), Assumption.DOMINANCE_UPPER_BOUND_CONJ),
+    "scan-field": (lambda x: [c.to_dict() for c in scan("(1c,$b)+(4s,8)", [("b", [1, 2])], x)], TI),
+    "grs_max_weight": (lambda x: grs_max_weight(Partition([4, 2]), x), OrderChoice.DOMINANCE),
+    "satake_exponent_bound": (lambda x: satake_exponent_bound(5, x), TI),
+    "hypercuspidal_existence": (lambda x: hypercuspidal_existence(6, x), TI),
+    "nonsingular_partition": (lambda x: nonsingular_partition(x, 5), GroupFamily.C),
+    "conjectured_so_lower_bound": (lambda x: conjectured_so_lower_bound(x, 5), GroupFamily.B),
+    "is_special": (lambda x: is_special(Partition([3, 1, 1]), x), GroupFamily.B),
+    "expansion": (lambda x: expansion(Partition([2, 2, 1]), x), GroupFamily.B),
+}
+
+
+@pytest.mark.parametrize("name", ENUM_CALLS)
+def test_enum_argument_takes_its_value_as_the_member(name):
+    call, member = ENUM_CALLS[name]
+    assert call(member.value) == call(member)
+
+
+@pytest.mark.parametrize("garbage", ["nonsense", None, Status.UNDETERMINED])
+@pytest.mark.parametrize("name", ENUM_CALLS)
+def test_enum_argument_rejects_anything_else(name, garbage):
+    call, _ = ENUM_CALLS[name]
+    with pytest.raises(InvalidArgument):
+        call(garbage)
+
+
+def test_enum_value_gets_the_members_checks():
+    # [2^2 1^2] has even weight: not a so-odd partition, whichever way B is named.
+    with pytest.raises(InvalidPartition):
+        expansion(Partition([2, 2, 1, 1]), "so-odd")

@@ -296,6 +296,31 @@ class TestBoundedInput:
         assert err == "error: the scan grid has more than 100000 cells\n"
 
 
+class TestIntegerGrammar:
+    # An integer in input text is an optional sign and ASCII digits; int()
+    # alone would also read non-ASCII digits and underscores.
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("collapse", "\u0664 \u0662"), "cannot parse partition term"),
+            (("dual", "\u0667 2^2"), "cannot parse partition term"),
+            (("analyze", "(1c,\u0663)+(2s,2)"), "cannot parse simple parameter"),
+            (("bounds", "(\u0665o,1)+(2s,2)"), "cannot parse simple parameter"),
+            (("scan", "--template", "(1c,$b)+(2s,2)", "--range", "b=1_0:1_2"), "range bounds must be integers"),
+            (("scan", "--template", "(1c,$b)+(2s,2)", "--range", "b=\u0661:3"), "range bounds must be integers"),
+        ],
+        ids=["collapse", "dual", "analyze", "bounds", "range-underscore", "range-unicode"],
+    )
+    def test_non_ascii_digits_and_underscores_are_input_errors(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_sign_and_surrounding_spaces_are_read(self, capsys):
+        code, out, _ = run(capsys, "scan", "--template", "(1c,$b)+(2s,2)", "--range", "b= +1 : 3 ", "--format", "csv")
+        assert code == 0 and [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "2", "3"]
+
+
 class TestHarness:
     def test_unknown_verb_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -19,6 +19,7 @@ from cuspcheck import (
     parse_parameter,
     rank_only_bound,
     scan,
+    small_family_match,
     verdict,
 )
 from cuspcheck import engine
@@ -41,6 +42,15 @@ class TestRankOnlyBound:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgument):
             rank_only_bound([])
+
+    def test_closed_form(self):
+        for a in range(1, 60):
+            assert rank_only_bound([a]) == (a * a + 2 * a if a % 2 == 0 else a * a - 1), a
+
+    @pytest.mark.parametrize("ranks", [[-3], [0], [4, 0]])
+    def test_rank_below_one_rejected(self, ranks):
+        with pytest.raises(InvalidArgument):
+            rank_only_bound(ranks)
 
 
 class TestRealizable:
@@ -179,6 +189,26 @@ class TestVerdict:
         verdict(parse_parameter("(1c,7)+(2s,2)"), TI, frozenset(Assumption))
         # One dual, which runs both recipes: one collapse each.
         assert calls == {"dual": 1, "collapse": 2}
+
+    def test_one_dual_per_parameter(self, monkeypatch):
+        import cuspcheck.arthur
+        import cuspcheck.partitions
+
+        calls = []
+        original = cuspcheck.partitions.barbasch_vogan_dual
+
+        def dual(p):
+            calls.append(p)
+            return original(p)
+
+        for module in (cuspcheck.arthur, cuspcheck.partitions):
+            monkeypatch.setattr(module, "barbasch_vogan_dual", dual)
+        # A Saito-Kurokawa parameter, so small_family_match reads eta too.
+        psi = parse_parameter("(2s,4)+(1c,1)")
+        verdict(psi, TI, frozenset(Assumption))
+        bounds(psi)
+        assert small_family_match(psi).claimed_pm is not None
+        assert calls == [psi.attached_partition()]
 
     def test_cost_follows_shape(self):
         # p_psi is a single part and eta a single run; a verdict must not

@@ -61,6 +61,14 @@ def test_totally_real_matches_general(params):
             assert verdict(psi, FieldKind.TOTALLY_REAL, active).to_dict() == general, (psi, active)
 
 
+def test_enum_values_match_members(params):
+    for psi in params:
+        for field in FieldKind:
+            expected = verdict(psi, field, frozenset(Assumption)).to_dict()
+            got = verdict(psi, field.value, [a.value for a in Assumption]).to_dict()
+            assert got == expected, (psi, field)
+
+
 def test_render_parse_round_trip(params):
     for psi in params:
         text = render_parameter(psi)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -406,3 +408,16 @@ class TestParseRender:
         for over in ("1" + "0" * _MAX_DIGITS, 10**_MAX_DIGITS, -(10**_MAX_DIGITS)):
             with pytest.raises(InvalidArgument, match="more than 2000 digits"):
                 _read_int(over)
+
+    @pytest.mark.parametrize(
+        "text",
+        [" 12 ", "+3", "-0", "\t7\n", "1_0", "12_", "\u0664", "\u0661\u0662", "\u00b2", "", " ",
+         "0x1", "1e3", "+-1", "1 2", "\x1c5", "5\u2003"],
+    )  # fmt: skip
+    def test_integer_grammar(self, text):
+        # One grammar: ASCII digits, an optional sign, ASCII whitespace around.
+        if re.fullmatch(r"[ \t\n\v\f\r]*[+-]?[0-9]+[ \t\n\v\f\r]*", text):
+            assert _read_int(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                _read_int(text)
