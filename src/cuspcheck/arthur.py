@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+# A summand label: anything the parameter grammar can read back after ``:``.
+_LABEL = re.compile(r"[^\s,()+]+")
+
+
 class SelfDualType(Enum):
     ORTHOGONAL = "orthogonal"
     SYMPLECTIC = "symplectic"
@@ -69,8 +73,10 @@ class SimpleParameter:
     central_char: CharacterLabel = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.label:
-            raise InvalidArgument("summand label must be nonempty")
+        if not _LABEL.fullmatch(self.label):
+            raise InvalidArgument(
+                f"summand label must be nonempty, without whitespace, ',', '(', ')' or '+', got {self.label!r}"
+            )
         if self.rank < 1:
             raise InvalidArgument(f"rank must be at least 1, got {self.rank}")
         if self.mult < 1:
@@ -214,7 +220,7 @@ class ArthurParameter:
 
 
 _SIMPLE = re.compile(
-    r"^\(\s*([0-9]+)\s*([osc])\s*(?::\s*([^\s,()]+)\s*)?,\s*([0-9]+)\s*\)$"
+    rf"^\(\s*([0-9]+)\s*([osc])\s*(?::\s*({_LABEL.pattern})\s*)?,\s*([0-9]+)\s*\)$"
 )
 
 

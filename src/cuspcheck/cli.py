@@ -45,6 +45,14 @@ from .smallrep import (
 __all__ = ["main", "build_parser"]
 
 
+def _int_arg(text: str) -> int:
+    """argparse ``type=`` for ``--n``: the integer grammar of all other input."""
+    try:
+        return _read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuspcheck",
@@ -100,13 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, formats=("text", "json", "csv"))
 
     p = sub.add_parser("satake", help="Satake exponent bound for Sp(2n)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     field_flag(p)
     common(p)
 
     p = sub.add_parser("small", help="small-representation tables for one group")
     p.add_argument("--group", choices=sorted(g.value for g in GroupFamily), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     field_flag(p)
     common(p)
 
@@ -255,13 +263,12 @@ def _run_scan(args) -> str:
 
 
 def _run_satake(args) -> str:
-    n = _read_int(args.n)
-    bound = satake_exponent_bound(n, args.field)
+    bound = satake_exponent_bound(args.n, args.field)
     if args.format == "json":
         return _json_text(bound.to_dict())
     return _kv_block(
         [
-            ("n", str(n)),
+            ("n", str(args.n)),
             ("field", args.field),
             ("theta", str(bound.theta)),
             ("sharp", "true" if bound.sharp else "false"),
@@ -272,7 +279,7 @@ def _run_satake(args) -> str:
 
 def _run_small(args) -> str:
     family = GroupFamily(args.group)
-    n = _read_int(args.n)
+    n = args.n
     payload: dict = {
         "group": args.group,
         "n": n,
@@ -307,8 +314,9 @@ _HANDLERS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Inside the try: ``--n`` raises InvalidArgument for an over-long integer.
+        args = parser.parse_args(argv)
         rendered = _HANDLERS[args.verb](args)
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

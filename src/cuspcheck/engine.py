@@ -182,15 +182,16 @@ def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
 
     A candidate either equals eta, or copies a prefix of eta and then drops
     strictly below it; after dropping, the lexicographic constraint is slack,
-    so the best continuation packs four copies of every smaller even value.
-    A feasible prefix ends inside at most the first five copies of a run, so
-    there are O(runs) candidates; each is kept as (weight, runs copied,
-    copies of the next run, tail top) and only the heaviest are built.
+    so the best continuation packs four copies of every even value below the
+    next part of eta.  A feasible prefix ends inside at most the first five
+    copies of a run, so there are O(runs) candidates, each kept as (weight,
+    runs copied, copies of the next run, tail top).  A longer prefix agrees
+    with eta for longer, so it is lexicographically larger, and eta is the
+    largest of all: the heaviest candidate with the longest prefix is the
+    witness, and only it is built.
     """
     runs = tuple(eta.exponents())
-    candidates: list[tuple[int, int, int, int]] = []
-    if is_grs_admissible(eta):
-        candidates.append((eta.weight, len(runs), 0, 0))
+    candidates = [(eta.weight, len(runs), 0, 0)] if is_grs_admissible(eta) else []
     prefix_weight = 0
     for i, (u, m) in enumerate(runs):
         # Tails must stay strictly below u: top is the largest even value < u.
@@ -198,22 +199,13 @@ def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
         # The prefix may go on with k copies of an even u, up to four, and
         # fewer than m (all m carry on to the next run); an odd u, none.
         for k in range(min(m, 5) if u % 2 == 0 else 1):
-            w = prefix_weight + k * u
-            candidates.append((w, i, k, 0))
-            if top >= 2:
-                candidates.append((w + _tail_weight(top), i, k, top))
+            candidates.append((prefix_weight + k * u + _tail_weight(top), i, k, top))
         if u % 2 or m > 4:
             break
         prefix_weight += u * m
-    best_weight = max(c[0] for c in candidates)
-
-    def built(i: int, k: int, top: int) -> tuple[tuple[int, int], ...]:
-        head = runs[:i] + (((runs[i][0], k),) if k else ())
-        return head + tuple((v, 4) for v in range(top, 0, -2))
-
-    # Runs tuples order exactly as the part sequences do lexicographically.
-    best = max(built(i, k, top) for w, i, k, top in candidates if w == best_weight)
-    return best_weight, Partition._from_runs(best)
+    weight, i, k, top = max(candidates)
+    head = runs[:i] + (((runs[i][0], k),) if k else ())
+    return weight, Partition._from_runs(head + tuple((v, 4) for v in range(top, 0, -2)))
 
 
 @lru_cache(maxsize=65536)
@@ -226,18 +218,10 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
     (parts placed, weight placed); for each state the lexicographically
     largest multiplicity history is kept so the witness tie-break is exact.
     """
-    runs = eta.exponents()
-    if not runs:
-        return 0, Partition()
-    top = runs[0][0] - (runs[0][0] % 2)
-    values = list(range(top, 0, -2))
+    values = range(eta.part_at(0) // 2 * 2, 0, -2)
     # prefix[c]: weight of eta's first c parts, for every count the DP can
-    # reach (at most four parts per value); read off eta's runs.
-    reach = 4 * len(values)
-    prefix = [0]
-    for v, m in runs:
-        for _ in range(min(m, reach + 1 - len(prefix))):
-            prefix.append(prefix[-1] + v)
+    # reach (at most four parts per value).
+    prefix = [0, *itertools.accumulate(itertools.islice(eta, 4 * len(values)))]
     total = eta.weight
 
     def bound(count: int) -> int:
@@ -256,8 +240,7 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
                 if key not in nxt or h2 > nxt[key]:
                     nxt[key] = h2
         states = nxt
-    best_weight = max(w for _, w in states)
-    best_hist = max(h for (_, w), h in states.items() if w == best_weight)
+    best_weight, best_hist = max((w, h) for (_, w), h in states.items())
     witness = [(v, m) for v, m in zip(values, best_hist) if m]
     return best_weight, Partition._from_runs(witness)
 
@@ -295,8 +278,6 @@ def _evaluate_rules(
     psi: ArthurParameter, field: FieldKind, report: BoundsReport
 ) -> tuple[Firing, ...]:
     n = psi.n
-    two_n = 2 * n
-    imaginary = field is FieldKind.TOTALLY_IMAGINARY
     firings: list[Firing] = []
 
     if psi.is_generic():
@@ -318,19 +299,14 @@ def _evaluate_rules(
             )
         )
 
-    if imaginary and two_n > report.n_a:
-        firings.append(Firing("R4", "rank-bound", Status.NO_CUSPIDAL))
-    if imaginary and two_n > report.n1:
-        firings.append(Firing("R5", "lex-bound", Status.NO_CUSPIDAL))
-    if imaginary and two_n > report.n2:
-        firings.append(
-            Firing(
-                "R6",
-                "dominance-bound",
-                Status.NO_CUSPIDAL,
-                Assumption.DOMINANCE_UPPER_BOUND_CONJ,
-            )
-        )
+    if field is FieldKind.TOTALLY_IMAGINARY:
+        for rule, name, bound, assumption in (
+            ("R4", "rank-bound", report.n_a, None),
+            ("R5", "lex-bound", report.n1, None),
+            ("R6", "dominance-bound", report.n2, Assumption.DOMINANCE_UPPER_BOUND_CONJ),
+        ):
+            if 2 * n > bound:
+                firings.append(Firing(rule, name, Status.NO_CUSPIDAL, assumption))
 
     if len(psi.summands) >= 2:
         for j1, s1 in enumerate(psi.summands):
@@ -465,4 +441,4 @@ def scan(
         except CuspcheckError as exc:
             return ScanCell(cell_slots, None, str(exc))
 
-    return [evaluate(c) for c in itertools.product(*[list(vals) for _, vals in ranges])]
+    return [evaluate(c) for c in itertools.product(*(vals for _, vals in ranges))]

@@ -48,23 +48,18 @@ _MAX_PARSED_PARTS = 100_000
 _MAX_DIGITS = 2_000
 
 
-def _read_int(text: str | int, error: type[CuspcheckError] = InvalidArgument) -> int:
+def _read_int(text: str, error: type[CuspcheckError] = InvalidArgument) -> int:
     """``int(text)`` for an integer from input, refusing more than ``_MAX_DIGITS`` digits.
 
     Text must be ASCII digits with an optional sign and surrounding ASCII
     whitespace; anything else raises ``ValueError``, as ``int()`` does.
-    Text is measured by its length and an int (argparse's ``type=int``) by
-    its magnitude: neither can raise, where ``int()`` and ``str()`` do past
-    their limit.
+    Text is measured by its length, which cannot raise, where ``int()`` does
+    past its limit.
     """
-    if isinstance(text, int):
-        too_long = abs(text) >= 10**_MAX_DIGITS
-    else:
-        # On ASCII text without underscores, int() reads exactly that grammar.
-        if not text.isascii() or "_" in text:
-            raise ValueError(f"not an integer: {text!r}")
-        too_long = len(text.strip().lstrip("+-")) > _MAX_DIGITS
-    if too_long:
+    # On ASCII text without underscores, int() reads exactly that grammar.
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an integer: {text!r}")
+    if len(text.strip().lstrip("+-")) > _MAX_DIGITS:
         raise error(f"integer too long to read (more than {_MAX_DIGITS} digits)")
     return int(text)
 

@@ -19,6 +19,7 @@ from cuspcheck import (
     is_grs_admissible,
     partitions_of,
 )
+from cuspcheck.engine import _tail_weight
 
 
 @lru_cache(maxsize=None)
@@ -132,6 +133,94 @@ def oracle_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
         if a <= b and (w > best_w or parts > best):
             best_w, best = w, parts
     return best_w, Partition(best)
+
+
+def candidates_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
+    """Max-weight admissible partition below eta in lexicographic order, by
+    building every tied candidate and comparing their runs.
+
+    The reference for duals whose first part puts ``oracle_grs_max_lex``
+    out of reach.  A candidate either equals eta, or copies a prefix of eta
+    and then drops strictly below it; after dropping, the lexicographic
+    constraint is slack, so the best continuation packs four copies of every
+    smaller even value.  A feasible prefix ends inside at most the first five
+    copies of a run, so there are O(runs) candidates; each is kept as
+    (weight, runs copied, copies of the next run, tail top) and only the
+    heaviest are built.
+    """
+    runs = tuple(eta.exponents())
+    candidates: list[tuple[int, int, int, int]] = []
+    if is_grs_admissible(eta):
+        candidates.append((eta.weight, len(runs), 0, 0))
+    prefix_weight = 0
+    for i, (u, m) in enumerate(runs):
+        # Tails must stay strictly below u: top is the largest even value < u.
+        top = u - 2 if u % 2 == 0 else u - 1
+        # The prefix may go on with k copies of an even u, up to four, and
+        # fewer than m (all m carry on to the next run); an odd u, none.
+        for k in range(min(m, 5) if u % 2 == 0 else 1):
+            w = prefix_weight + k * u
+            candidates.append((w, i, k, 0))
+            if top >= 2:
+                candidates.append((w + _tail_weight(top), i, k, top))
+        if u % 2 or m > 4:
+            break
+        prefix_weight += u * m
+    best_weight = max(c[0] for c in candidates)
+
+    def built(i: int, k: int, top: int) -> tuple[tuple[int, int], ...]:
+        head = runs[:i] + (((runs[i][0], k),) if k else ())
+        return head + tuple((v, 4) for v in range(top, 0, -2))
+
+    # Runs tuples order exactly as the part sequences do lexicographically.
+    best = max(built(i, k, top) for w, i, k, top in candidates if w == best_weight)
+    return best_weight, Partition._from_runs(best)
+
+
+def dp_grs_max_dominated(eta: Partition) -> tuple[int, Partition]:
+    """Max-weight admissible partition dominated by eta, by dynamic program.
+
+    The reference for duals too heavy for ``oracle_grs_max_dominated``.
+    Even values are taken in descending order.  Because the prefix sums of
+    eta are concave and a run of equal parts adds linearly, dominance only
+    needs checking at the end of each run.  States are (parts placed, weight
+    placed); for each state the lexicographically largest multiplicity
+    history is kept so the witness tie-break is exact.
+    """
+    runs = eta.exponents()
+    if not runs:
+        return 0, Partition()
+    top = runs[0][0] - (runs[0][0] % 2)
+    values = list(range(top, 0, -2))
+    # prefix[c]: weight of eta's first c parts, for every count the DP can
+    # reach (at most four parts per value); read off eta's runs.
+    reach = 4 * len(values)
+    prefix = [0]
+    for v, m in runs:
+        for _ in range(min(m, reach + 1 - len(prefix))):
+            prefix.append(prefix[-1] + v)
+    total = eta.weight
+
+    def bound(count: int) -> int:
+        return prefix[count] if count < len(prefix) else total
+
+    states: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
+    for v in values:
+        nxt: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (c, w), hist in states.items():
+            for m in range(5):
+                c2, w2 = c + m, w + m * v
+                if m and w2 > bound(c2):
+                    break  # the deficit only grows with larger m
+                key = (c2, w2)
+                h2 = hist + (m,)
+                if key not in nxt or h2 > nxt[key]:
+                    nxt[key] = h2
+        states = nxt
+    best_weight = max(w for _, w in states)
+    best_hist = max(h for (_, w), h in states.items() if w == best_weight)
+    witness = [(v, m) for v, m in zip(values, best_hist) if m]
+    return best_weight, Partition._from_runs(witness)
 
 
 def iter_shape_parameters(max_total=21, max_rank=5, max_summands=4):

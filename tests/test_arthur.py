@@ -197,6 +197,31 @@ class TestParse:
         assert parse_parameter(render_parameter(psi)) == psi
 
 
+class TestLabels:
+    # A label is one token of the parameter grammar: no whitespace, ',', '(',
+    # ')' or '+', so every accepted summand renders to text that parses back.
+    @pytest.mark.parametrize(
+        "label", ["a+b", "a b", "a,b", "(a", "a)", "", "\t", "a\u2003b", "a\nb"]
+    )
+    def test_label_the_grammar_cannot_read_back_is_rejected(self, label):
+        with pytest.raises(InvalidArgument, match="summand label"):
+            SimpleParameter(label, 2, 2, SYMP)
+
+    @settings(max_examples=300)
+    @given(st.text(min_size=1, max_size=6))
+    def test_accepted_labels_round_trip(self, label):
+        try:
+            tau = SimpleParameter(label, 2, 2, SYMP)
+        except InvalidArgument:
+            return
+        psi = ArthurParameter([tau, SimpleParameter("x", 1, 1, ORTH)])
+        assert parse_parameter(render_parameter(psi)) == psi
+
+    def test_label_with_colon_round_trips(self):
+        psi = ArthurParameter([SimpleParameter("a:b", 2, 2, SYMP), SimpleParameter("1", 1, 1, ORTH)])
+        assert render_parameter(psi) == "(2s:a:b,2)+(1c:1,1)"
+        assert parse_parameter(render_parameter(psi)) == psi
+
 class TestCentralCharacterAdvisory:
     def test_unknown_blocks_nothing(self):
         psi = parse_parameter("(1c,7)+(2s,2)")

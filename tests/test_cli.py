@@ -316,6 +316,24 @@ class TestIntegerGrammar:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("satake", "--n", "1_0"), ("small", "--group", "sp", "--n", "\u0663")],
+        ids=["satake-underscore", "small-unicode"],
+    )
+    def test_n_rejects_what_other_integers_reject(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument --n: invalid int value: {argv[-1]!r}" in captured.err
+
+    @pytest.mark.parametrize("verb", [("satake",), ("small", "--group", "sp")], ids=["satake", "small"])
+    def test_overlong_n_is_input_error(self, capsys, verb):
+        code, out, err = run(capsys, *verb, "--n", "9" * 5000)
+        assert code == 2 and out == ""
+        assert err == "error: integer too long to read (more than 2000 digits)\n"
+
     def test_sign_and_surrounding_spaces_are_read(self, capsys):
         code, out, _ = run(capsys, "scan", "--template", "(1c,$b)+(2s,2)", "--range", "b= +1 : 3 ", "--format", "csv")
         assert code == 0 and [row.split(",")[0] for row in out.splitlines()[1:]] == ["1", "2", "3"]

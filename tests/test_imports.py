@@ -1,7 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and every
+private module-level name is used somewhere in the package.
 
-No linter ships with the test dependencies, so this is the one check for
-stale imports.  ``__init__.py`` is exempt: its star imports re-export.
+No linter ships with the test dependencies, so these are the one check for
+stale imports and dead private helpers.  ``__init__.py`` is exempt from the
+import check: its star imports re-export.
 """
 
 import ast
@@ -34,3 +36,56 @@ def test_no_unused_imports(path):
 
 def test_the_check_sees_an_unused_import():
     assert unused_imports("from x import a, b\nimport c.d\nb()\n") == ["line 1: a", "line 2: c"]
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Private module-level functions, classes and constants, with their lines."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
+    return found
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes read, and names imported ``from`` another module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    refs = set().union(*(references(tree) for tree in trees.values()))
+    return [
+        f"{name} line {line}: {private}"
+        for name, tree in trees.items()
+        for private, line in private_definitions(tree).items()
+        if private not in refs
+    ]
+
+
+def test_no_dead_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_the_check_sees_a_dead_private_name():
+    sources = {
+        "a.py": "_USED = 1\n_DEAD: int = 2\ndef _helper(): return _USED\nclass _Gone: pass\n",
+        "b.py": "from a import _helper\n_helper()\n",
+    }
+    assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 4: _Gone"]

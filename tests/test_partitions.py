@@ -404,8 +404,8 @@ class TestParseRender:
         assert parse_partition(f"{at_cap}^2").weight == 2 * int(at_cap)
         with pytest.raises(InvalidPartition, match="more than 2000 digits"):
             parse_partition("9" + at_cap)
-        assert _read_int("-" + at_cap) == _read_int(-int(at_cap)) == -int(at_cap)
-        for over in ("1" + "0" * _MAX_DIGITS, 10**_MAX_DIGITS, -(10**_MAX_DIGITS)):
+        assert _read_int("-" + at_cap) == -int(at_cap)
+        for over in ("1" + "0" * _MAX_DIGITS, "-1" + "0" * _MAX_DIGITS):
             with pytest.raises(InvalidArgument, match="more than 2000 digits"):
                 _read_int(over)
 
