@@ -172,10 +172,7 @@ class ArthurParameter:
         self._summands = summands
         self._n = (sum(s.size for s in summands) - 1) // 2
         self._warnings = _central_char_warnings(summands)
-        rows: dict[int, int] = {}
-        for s in summands:
-            rows[s.mult] = rows.get(s.mult, 0) + s.rank
-        self._p_psi = Partition._from_runs(sorted(rows.items(), reverse=True))
+        self._p_psi = Partition._from_runs(sorted(((s.mult, s.rank) for s in summands), reverse=True))
         self._eta = barbasch_vogan_dual(self._p_psi)
 
     @property

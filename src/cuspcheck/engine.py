@@ -241,8 +241,7 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
                     nxt[key] = h2
         states = nxt
     best_weight, best_hist = max((w, h) for (_, w), h in states.items())
-    witness = [(v, m) for v, m in zip(values, best_hist) if m]
-    return best_weight, Partition._from_runs(witness)
+    return best_weight, Partition._from_runs(zip(values, best_hist))
 
 
 def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:

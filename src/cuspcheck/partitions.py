@@ -88,7 +88,8 @@ class Partition:
 
     The canonical state is the ``(value, multiplicity)`` runs with values
     strictly descending, so ``[6 2^7]`` is two runs however large its
-    multiplicities.  Every operation in this module costs O(runs); only the
+    multiplicities.  ``_from_runs`` is the one place that puts runs in that
+    form.  Every operation in this module costs O(runs); only the
     part-by-part views (``parts``, iteration, slicing, ``repr``) cost
     O(length).
     """
@@ -110,18 +111,37 @@ class Partition:
 
     @classmethod
     def _from_runs(cls, runs: Iterable[tuple[int, int]]) -> "Partition":
-        """Build from canonical runs: positive values strictly descending,
-        positive multiplicities.  Internal; the caller guarantees the form."""
+        """Build from ``(value, multiplicity)`` runs with values non-increasing.
+
+        Equal neighbours merge, and zero values and zero multiplicities drop.
+        Internal: a rising value or a negative entry is a caller's bug and
+        raises :class:`InternalInvariantViolation`.
+        """
         p = object.__new__(cls)
-        p._set_runs(list(runs))
+        p._set_runs(runs)
         return p
 
-    def _set_runs(self, runs: list[tuple[int, int]]) -> None:
+    def _set_runs(self, runs: Iterable[tuple[int, int]]) -> None:
         # Flattened through a list: a tuple built from an iterator of unknown
         # length is resized, and freed resized tuples pile up in the
         # interpreter's per-size free lists.
-        self._runs = tuple([x for run in runs for x in run])
-        self._weight = sum(v * m for v, m in runs)
+        flat: list[int] = []
+        weight = 0
+        last = math.inf
+        for v, m in runs:
+            if 0 < v < last and m > 0:  # a new run, the common case
+                flat += (v, m)
+            elif v > last or v < 0 or m < 0:
+                raise InternalInvariantViolation(f"run ({v}, {m}) after value {last}: out of order or negative")
+            elif v and m:  # v == last: extend the run kept for it, if one was
+                if flat and flat[-2] == v:
+                    flat[-1] += m
+                else:
+                    flat += (v, m)
+            last = v
+            weight += v * m
+        self._runs = tuple(flat)
+        self._weight = weight
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         it = iter(self._runs)
@@ -190,10 +210,7 @@ class Partition:
         """Part-wise sum, padding the shorter partition with zeros."""
         if not isinstance(other, Partition):
             return NotImplemented
-        out: list[tuple[int, int]] = []
-        for (a, b), m in _segments(self, other):
-            _append_run(out, a + b, m)
-        return Partition._from_runs(out)
+        return Partition._from_runs((a + b, m) for (a, b), m in _segments(self, other))
 
     def transpose(self) -> "Partition":
         """Conjugate partition: column lengths of the Young diagram.
@@ -212,11 +229,8 @@ class Partition:
         runs = self.exponents()
         if not runs:
             raise InvalidPartition("cannot decrement the empty partition")
-        v, m = runs.pop()
-        if m > 1:
-            runs.append((v, m - 1))
-        if v > 1:
-            runs.append((v - 1, 1))
+        v, m = runs[-1]
+        runs[-1:] = [(v, m - 1), (v - 1, 1)]
         return Partition._from_runs(runs)
 
     def is_symplectic(self) -> bool:
@@ -226,17 +240,6 @@ class Partition:
     def is_orthogonal(self) -> bool:
         """True when every even part has even multiplicity (type B/D orbit shape)."""
         return all(m % 2 == 0 for v, m in self._pairs() if v % 2 == 0)
-
-
-def _append_run(runs: list[tuple[int, int]], value: int, mult: int) -> None:
-    # Extend non-increasing runs by ``mult`` copies of ``value``, merging a
-    # repeated value; zero values and multiplicities are dropped.
-    if not (value and mult):
-        return
-    if runs and runs[-1][0] == value:
-        runs[-1] = (value, runs[-1][1] + mult)
-    else:
-        runs.append((value, mult))
 
 
 def _segments(p: Partition, q: Partition) -> Iterator[tuple[tuple[int, int], int]]:
@@ -286,23 +289,26 @@ def parse_partition(text: str) -> Partition:
     """Parse ``"[6,2,2]"``, ``"6 2^2"``, ``"[6 2^2]"`` and friends.
 
     Terms are INT or INT^INT, separated by commas or whitespace, with
-    optional surrounding brackets.  Entries need not be sorted.
+    optional surrounding brackets.  Entries need not be sorted.  The cost is
+    O(terms): each term is kept as one run, never expanded into its parts.
     """
     s = text.strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
     tokens = s.replace(",", " ").split()
-    values: list[int] = []
+    runs: list[tuple[int, int]] = []
+    count = 0  # parts so far, zeros included
     for tok in tokens:
         m = _TERM.match(tok)
         if not m:
             raise InvalidPartition(f"cannot parse partition term {tok!r}")
         base = _read_int(m.group(1), InvalidPartition)
         mult = _read_int(m.group(2), InvalidPartition) if m.group(2) is not None else 1
-        if mult > _MAX_PARSED_PARTS or len(values) + mult > _MAX_PARSED_PARTS:
+        if mult > _MAX_PARSED_PARTS or count + mult > _MAX_PARSED_PARTS:
             raise InvalidPartition(f"partition too large in term {tok!r}")
-        values.extend([base] * mult)
-    return Partition(values)
+        count += mult
+        runs.append((base, mult))
+    return Partition._from_runs(sorted(runs, reverse=True))
 
 
 def compare_lex(p: Partition, q: Partition) -> Order:
@@ -373,20 +379,16 @@ def _collapse(p: Partition, parity: int) -> Partition:
     out: list[tuple[int, int]] = []
     for v, m in runs:
         if v > a or v % 2 != parity:
-            _append_run(out, v, m)
+            out.append((v, m))
         elif v == a:
-            _append_run(out, v, m - 1)
-            _append_run(out, v - 1, 1)
+            out += [(v, m - 1), (v - 1, 1)]
         elif v == b:
-            _append_run(out, v + 1, 1)
-            _append_run(out, v, m - 1)
+            out += [(v + 1, 1), (v, m - 1)]
             a, b = next(bad, 0), next(bad, 0)
         else:  # strictly between a and b, even multiplicity
-            _append_run(out, v + 1, 1)
-            _append_run(out, v, m - 2)
-            _append_run(out, v - 1, 1)
+            out += [(v + 1, 1), (v, m - 2), (v - 1, 1)]
     if a:
-        _append_run(out, 1, 1)
+        out.append((1, 1))
     return Partition._from_runs(out)
 
 

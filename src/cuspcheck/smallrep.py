@@ -52,11 +52,6 @@ class Existence(Enum):
     UNKNOWN = "Unknown"
 
 
-def _shape(*runs: tuple[int, int]) -> Partition:
-    # The displayed shapes lose a run at small n; zero multiplicities drop.
-    return Partition._from_runs([(v, m) for v, m in runs if m])
-
-
 def grs_minimal_partition(two_n: int) -> Partition:
     """Lexicographically smallest GRS-admissible partition of weight two_n.
 
@@ -94,10 +89,10 @@ def nonsingular_partition(family: GroupFamily, n: int) -> Partition:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     e, odd = divmod(n, 2)
     if family is GroupFamily.C:
-        return _shape((2, n))
+        return Partition._from_runs([(2, n)])
     if family is GroupFamily.B:
-        return _shape((2, 2 * e), (1, 3 if odd else 1))
-    return _shape((2, 2 * e), (1, 2 if odd else 0))
+        return Partition._from_runs([(2, 2 * e), (1, 3 if odd else 1)])
+    return Partition._from_runs([(2, 2 * e), (1, 2 if odd else 0)])
 
 
 def nonsingular_expansion(family: GroupFamily, n: int) -> Partition:
@@ -122,12 +117,12 @@ def conjectured_so_lower_bound(family: GroupFamily, n: int) -> Partition:
         raise InvalidArgument(f"n must be at least 1, got {n}")
     e, odd = divmod(n, 2)
     if family is GroupFamily.B:
-        return _shape((3, e + odd), (1, e + 1 - odd))
+        return Partition._from_runs([(3, e + odd), (1, e + 1 - odd)])
     if odd:
         if e < 1:
             raise InvalidArgument("no displayed bound for the even orthogonal group with n=1")
-        return _shape((5, 1), (3, e - 1), (1, e))
-    return _shape((3, e), (1, e))
+        return Partition._from_runs([(5, 1), (3, e - 1), (1, e)])
+    return Partition._from_runs([(3, e), (1, e)])
 
 
 def _assert_small_eta(psi: ArthurParameter) -> None:

@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is used somewhere in the package.
+"""Every name a package module imports is used in that module, every
+private module-level name is used somewhere in the package, and only
+``partitions.py`` touches the stored run form of a ``Partition``.
 
 No linter ships with the test dependencies, so these are the one check for
 stale imports and dead private helpers.  ``__init__.py`` is exempt from the
-import check: its star imports re-export.
+import check: its star imports re-export.  Other modules build partitions
+through ``Partition._from_runs`` and read them through ``exponents()``, so
+the canonical form has one owner.
 """
 
 import ast
@@ -89,3 +92,27 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": "from a import _helper\n_helper()\n",
     }
     assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 4: _Gone"]
+
+
+RUN_FORM = ("_runs", "_set_runs")
+
+
+def run_form_accesses(source: str) -> list[str]:
+    """Attributes (or ``getattr`` names) that reach a partition's stored runs."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in RUN_FORM:
+            found.add((node.lineno, node.attr))
+        elif isinstance(node, ast.Constant) and node.value in RUN_FORM:
+            found.add((node.lineno, node.value))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "partitions.py"], ids=lambda p: p.name)
+def test_run_form_stays_in_partitions(path):
+    assert run_form_accesses(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_run_form_access():
+    source = 'def f(p):\n    return p._runs[0]\nq._set_runs([])\ngetattr(r, "_runs")\ns._runs_seen, t._pairs()\n'
+    assert run_form_accesses(source) == ["line 2: _runs", "line 3: _set_runs", "line 4: _runs"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cuspcheck import (
     GroupFamily,
+    InternalInvariantViolation,
     InvalidArgument,
     InvalidPartition,
     InvalidWeight,
@@ -25,6 +26,7 @@ from cuspcheck import (
 )
 from cuspcheck.partitions import (
     _MAX_DIGITS,
+    _MAX_PARSED_PARTS,
     _collapse,
     _dual_collapse_then_transpose,
     _dual_transpose_then_collapse,
@@ -93,6 +95,27 @@ class TestConstruction:
         assert len(built) == len(refs)
         with pytest.raises(IndexError):
             P([2, 1])[2]
+
+
+class TestFromRuns:
+    """``_from_runs`` is the one constructor that puts runs in canonical form."""
+
+    def test_merges_and_drops_zeros(self):
+        p = P._from_runs([(5, 1), (3, 2), (3, 1), (2, 0), (0, 4)])
+        assert p == P([5, 3, 3, 3]) and hash(p) == hash(P([5, 3, 3, 3]))
+        assert p.exponents() == [(5, 1), (3, 3)] and p.weight == 14
+
+    def test_merges_across_a_dropped_run(self):
+        assert P._from_runs([(4, 0), (4, 2), (2, 0), (2, 1)]).exponents() == [(4, 2), (2, 1)]
+        assert P._from_runs([(0, 3)]) == P() and P._from_runs([]) == P()
+
+    @pytest.mark.parametrize(
+        "runs",
+        [[(2, 1), (3, 1)], [(2, 0), (3, 1)], [(0, 1), (1, 1)], [(3, 1), (2, -1)], [(-1, 2)], [(3, -1), (2, 1)]],
+    )
+    def test_rising_or_negative_runs_rejected(self, runs):
+        with pytest.raises(InternalInvariantViolation):
+            P._from_runs(runs)
 
 
 class TestTranspose:
@@ -408,6 +431,22 @@ class TestParseRender:
         for over in ("1" + "0" * _MAX_DIGITS, "-1" + "0" * _MAX_DIGITS):
             with pytest.raises(InvalidArgument, match="more than 2000 digits"):
                 _read_int(over)
+
+    @pytest.mark.parametrize(
+        "text,runs", [("2^100000", [(2, 100000)]), ("3^2 3 0^4 1", [(3, 3), (1, 1)])]
+    )
+    def test_parse_builds_no_value_list(self, monkeypatch, text, runs):
+        def no_value_list(self, values=()):
+            raise AssertionError("parsing built a value list")
+
+        monkeypatch.setattr(Partition, "__init__", no_value_list)
+        assert parse_partition(text).exponents() == runs
+
+    @pytest.mark.parametrize("text,term", [("2^100001", "2^100001"), ("2^100000 2", "2"), ("0^99999 5^2", "5^2")])
+    def test_part_cap_counts_every_term(self, text, term):
+        assert _MAX_PARSED_PARTS == 100_000
+        with pytest.raises(InvalidPartition, match=re.escape(f"partition too large in term {term!r}")):
+            parse_partition(text)
 
     @pytest.mark.parametrize(
         "text",
