@@ -276,50 +276,31 @@ def bounds(psi: ArthurParameter) -> BoundsReport:
 def _evaluate_rules(
     psi: ArthurParameter, field: FieldKind, report: BoundsReport
 ) -> tuple[Firing, ...]:
-    n = psi.n
-    firings: list[Firing] = []
-
-    if psi.is_generic():
-        firings.append(Firing("R1", "generic", Status.CONTAINS_CUSPIDAL))
-
+    """The rules R1..R7 as one table of (rule, name, status, assumption, fired)."""
+    n, summands = psi.n, psi.summands
     # Rank-1 summands are quadratic characters; the pole position of the
     # twisted L-function caps their multiplicity at n+1 (n even) / n (n odd).
-    kr_cap = n + 1 if n % 2 == 0 else n
-    if any(s.rank == 1 and s.mult > kr_cap for s in psi.summands):
-        firings.append(Firing("R2", "kudla-rallis", Status.NO_CUSPIDAL))
-
-    if any(s.rank == 1 and s.mult > n + 1 for s in psi.summands):
-        firings.append(
-            Firing(
-                "R3",
-                "character-multiplicity",
-                Status.NO_CUSPIDAL,
-                Assumption.DOMINANCE_UPPER_BOUND,
-            )
-        )
-
-    if field is FieldKind.TOTALLY_IMAGINARY:
-        for rule, name, bound, assumption in (
-            ("R4", "rank-bound", report.n_a, None),
-            ("R5", "lex-bound", report.n1, None),
-            ("R6", "dominance-bound", report.n2, Assumption.DOMINANCE_UPPER_BOUND_CONJ),
-        ):
-            if 2 * n > bound:
-                firings.append(Firing(rule, name, Status.NO_CUSPIDAL, assumption))
-
-    if len(psi.summands) >= 2:
-        for j1, s1 in enumerate(psi.summands):
-            if all(
-                s1.mult >= s1.rank + s2.rank + s2.mult
-                for j2, s2 in enumerate(psi.summands)
-                if j2 != j1
-            ):
-                firings.append(
-                    Firing("R7", "moeglin", Status.NO_CUSPIDAL, Assumption.MOEGLIN_CRITERION)
-                )
-                break
-
-    return tuple(firings)
+    char_mult = max((s.mult for s in summands if s.rank == 1), default=0)
+    imaginary = field is FieldKind.TOTALLY_IMAGINARY
+    # Moeglin: one summand (tau, b) of rank a has b >= a + a' + b' for every
+    # other summand (tau', b') of rank a'.
+    moeglin = len(summands) >= 2 and any(
+        all(s.mult >= s.rank + t.rank + t.mult for j, t in enumerate(summands) if j != i)
+        for i, s in enumerate(summands)
+    )
+    no, some = Status.NO_CUSPIDAL, Status.CONTAINS_CUSPIDAL
+    rules = (
+        ("R1", "generic", some, None, psi.is_generic()),
+        ("R2", "kudla-rallis", no, None, char_mult > (n + 1 if n % 2 == 0 else n)),
+        ("R3", "character-multiplicity", no, Assumption.DOMINANCE_UPPER_BOUND, char_mult > n + 1),
+        ("R4", "rank-bound", no, None, imaginary and 2 * n > report.n_a),
+        ("R5", "lex-bound", no, None, imaginary and 2 * n > report.n1),
+        ("R6", "dominance-bound", no, Assumption.DOMINANCE_UPPER_BOUND_CONJ, imaginary and 2 * n > report.n2),
+        ("R7", "moeglin", no, Assumption.MOEGLIN_CRITERION, moeglin),
+    )
+    return tuple(
+        Firing(rule, name, status, assumption) for rule, name, status, assumption, fired in rules if fired
+    )
 
 
 def verdict(
@@ -339,21 +320,13 @@ def verdict(
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
     report = bounds(psi)
     firings = _evaluate_rules(psi, field, report)
-    effective = {
-        f.implies
-        for f in firings
-        if f.conditional_on is None or f.conditional_on in active
-    }
-    if Status.NO_CUSPIDAL in effective and Status.CONTAINS_CUSPIDAL in effective:
+    effective = {f.implies for f in firings if f.conditional_on is None or f.conditional_on in active}
+    # Rules imply only NoCuspidal or ContainsCuspidal: two statuses contradict.
+    if len(effective) > 1:
         raise InternalInvariantViolation(
             f"contradictory conclusions for {psi} under {sorted(a.value for a in active)}"
         )
-    if Status.NO_CUSPIDAL in effective:
-        status = Status.NO_CUSPIDAL
-    elif Status.CONTAINS_CUSPIDAL in effective:
-        status = Status.CONTAINS_CUSPIDAL
-    else:
-        status = Status.UNDETERMINED
+    status = next(iter(effective), Status.UNDETERMINED)
     return Verdict(
         status=status,
         n=psi.n,

@@ -13,9 +13,14 @@ from functools import lru_cache
 
 from cuspcheck import (
     ArthurParameter,
+    Assumption,
+    BoundsReport,
+    FieldKind,
+    Firing,
     Partition,
     SelfDualType,
     SimpleParameter,
+    Status,
     is_grs_admissible,
     partitions_of,
 )
@@ -223,6 +228,60 @@ def dp_grs_max_dominated(eta: Partition) -> tuple[int, Partition]:
     return best_weight, Partition._from_runs(witness)
 
 
+def rules_reference(
+    psi: ArthurParameter, field: FieldKind, report: BoundsReport
+) -> tuple[Firing, ...]:
+    """The reference for ``engine._evaluate_rules``: one ``if`` per rule.
+
+    Each rule is tested on its own and appended in R1..R7 order, the way the
+    engine evaluated them before its rules became one table.
+    """
+    n = psi.n
+    firings: list[Firing] = []
+
+    if psi.is_generic():
+        firings.append(Firing("R1", "generic", Status.CONTAINS_CUSPIDAL))
+
+    # Rank-1 summands are quadratic characters; the pole position of the
+    # twisted L-function caps their multiplicity at n+1 (n even) / n (n odd).
+    kr_cap = n + 1 if n % 2 == 0 else n
+    if any(s.rank == 1 and s.mult > kr_cap for s in psi.summands):
+        firings.append(Firing("R2", "kudla-rallis", Status.NO_CUSPIDAL))
+
+    if any(s.rank == 1 and s.mult > n + 1 for s in psi.summands):
+        firings.append(
+            Firing(
+                "R3",
+                "character-multiplicity",
+                Status.NO_CUSPIDAL,
+                Assumption.DOMINANCE_UPPER_BOUND,
+            )
+        )
+
+    if field is FieldKind.TOTALLY_IMAGINARY:
+        for rule, name, bound, assumption in (
+            ("R4", "rank-bound", report.n_a, None),
+            ("R5", "lex-bound", report.n1, None),
+            ("R6", "dominance-bound", report.n2, Assumption.DOMINANCE_UPPER_BOUND_CONJ),
+        ):
+            if 2 * n > bound:
+                firings.append(Firing(rule, name, Status.NO_CUSPIDAL, assumption))
+
+    if len(psi.summands) >= 2:
+        for j1, s1 in enumerate(psi.summands):
+            if all(
+                s1.mult >= s1.rank + s2.rank + s2.mult
+                for j2, s2 in enumerate(psi.summands)
+                if j2 != j1
+            ):
+                firings.append(
+                    Firing("R7", "moeglin", Status.NO_CUSPIDAL, Assumption.MOEGLIN_CRITERION)
+                )
+                break
+
+    return tuple(firings)
+
+
 def iter_shape_parameters(max_total=21, max_rank=5, max_summands=4):
     """Every realizable (rank, mult) multiset with odd total size <= max_total.
 
@@ -251,6 +310,25 @@ def build_parameter(pairs) -> ArthurParameter:
         dual = SelfDualType.SYMPLECTIC if b % 2 == 0 else SelfDualType.ORTHOGONAL
         summands.append(SimpleParameter(label=f"t{i}", rank=a, mult=b, dual_type=dual))
     return ArthurParameter(summands)
+
+
+def corpus_domain(max_summands=3, max_rank=6, max_mult=9) -> list[tuple[tuple[int, int], ...]]:
+    """Every (rank, mult) multiset ``random_parameter`` can draw, as pairs.
+
+    Types are forced as there: an even multiplicity needs an even rank.
+    """
+    universe = [
+        (a, b)
+        for a in range(1, max_rank + 1)
+        for b in range(1, max_mult + 1)
+        if b % 2 or a % 2 == 0
+    ]
+    return [
+        combo
+        for r in range(1, max_summands + 1)
+        for combo in itertools.combinations_with_replacement(universe, r)
+        if (total := sum(a * b for a, b in combo)) % 2 and total >= 3
+    ]
 
 
 def random_parameter(rng: random.Random, max_summands=3, max_rank=6, max_mult=9) -> ArthurParameter:

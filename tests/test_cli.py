@@ -368,6 +368,11 @@ class TestHarness:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not target.exists()
 
+    def test_empty_out_path_is_input_error(self, capsys):
+        code, out, err = run(capsys, "dual", "7 2^2", "--out", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_repeated_invocations_identical(self, capsys):
         _, first, _ = run(capsys, *FIGURE1, "--format", "csv")
         _, second, _ = run(capsys, *FIGURE1, "--format", "csv")
