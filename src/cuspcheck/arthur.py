@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidArgument, ParameterError
 from .partitions import Partition, _read_int, barbasch_vogan_dual
@@ -151,49 +151,44 @@ def _central_char_warnings(summands: Sequence[SimpleParameter]) -> tuple[str, ..
     )
 
 
+@dataclass(frozen=True, slots=True)
 class ArthurParameter:
     """A validated formal sum of simple parameters with odd total size 2n+1.
 
     Construction runs full validation and raises :class:`ParameterError`
     carrying every violation.  Advisory findings (the central-character
     product condition) are attached as ``warnings``.  A valid parameter then
-    builds its attached partition and that partition's dual, once.
+    builds its attached partition and that partition's dual, once.  Any
+    iterable of summands is stored as a tuple, and only the summands take part
+    in equality and hashing.
     """
 
-    __slots__ = ("_summands", "_n", "_warnings", "_p_psi", "_eta")
+    summands: tuple[SimpleParameter, ...]
+    n: int = field(init=False, compare=False)  # half the dual size: the parameter lives on Sp(2n)
+    warnings: tuple[str, ...] = field(init=False, compare=False)
+    _p_psi: Partition = field(init=False, compare=False)
+    _eta: Partition = field(init=False, compare=False)
 
-    def __init__(self, summands: Iterable[SimpleParameter]):
-        summands = tuple(summands)
+    def __post_init__(self):
+        summands = tuple(self.summands)
         if not summands:
             raise ParameterError([("not-odd-weight", "parameter needs at least one summand")])
         issues = _validation_issues(summands)
         if issues:
             raise ParameterError(issues)
-        self._summands = summands
-        self._n = (sum(s.size for s in summands) - 1) // 2
-        self._warnings = _central_char_warnings(summands)
-        self._p_psi = Partition._from_runs(sorted(((s.mult, s.rank) for s in summands), reverse=True))
-        self._eta = barbasch_vogan_dual(self._p_psi)
-
-    @property
-    def summands(self) -> tuple[SimpleParameter, ...]:
-        return self._summands
-
-    @property
-    def n(self) -> int:
-        """Half the dual size: the parameter lives on Sp(2n)."""
-        return self._n
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        return self._warnings
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "n", (sum(s.size for s in summands) - 1) // 2)
+        object.__setattr__(self, "warnings", _central_char_warnings(summands))
+        p_psi = Partition._from_runs(sorted(((s.mult, s.rank) for s in summands), reverse=True))
+        object.__setattr__(self, "_p_psi", p_psi)
+        object.__setattr__(self, "_eta", barbasch_vogan_dual(p_psi))
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(s.rank for s in self._summands)
+        return tuple(s.rank for s in self.summands)
 
     def is_generic(self) -> bool:
         """True when every multiplicity is one."""
-        return all(s.mult == 1 for s in self._summands)
+        return all(s.mult == 1 for s in self.summands)
 
     def attached_partition(self) -> Partition:
         """The partition of 2n+1 with each multiplicity repeated rank times."""
@@ -202,12 +197,6 @@ class ArthurParameter:
     def dual_partition(self) -> Partition:
         """Dual of the attached partition: a symplectic partition of 2n."""
         return self._eta
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ArthurParameter) and self._summands == other._summands
-
-    def __hash__(self) -> int:
-        return hash(self._summands)
 
     def __repr__(self) -> str:
         return f"ArthurParameter({render_parameter(self)!r})"

@@ -53,74 +53,6 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cuspcheck",
-        description="Decide when a global Arthur packet of Sp(2n) provably has no cuspidal members.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
-
-    def field_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--field", choices=[f.value for f in FieldKind], default="general")
-
-    def field_flags(p: argparse.ArgumentParser) -> None:
-        field_flag(p)
-        p.add_argument(
-            "--assume",
-            action="append",
-            default=[],
-            choices=[a.value for a in Assumption],
-            help="activate a conjectural assumption (repeatable)",
-        )
-
-    p = sub.add_parser("dual", help="dual of an odd orthogonal partition")
-    p.add_argument("partition")
-    common(p)
-
-    p = sub.add_parser("collapse", help="symplectic collapse of an even-weight partition")
-    p.add_argument("partition")
-    common(p)
-
-    p = sub.add_parser("analyze", help="full cuspidality verdict for a parameter")
-    p.add_argument("parameter")
-    field_flags(p)
-    common(p)
-
-    p = sub.add_parser("bounds", help="bound triple for a parameter")
-    p.add_argument("parameter")
-    common(p)
-
-    p = sub.add_parser("scan", help="verdicts over a parameter template grid")
-    p.add_argument("--template", required=True, help="parameter with $name slots, e.g. '(1c,$b1)+(2s,$b2)'")
-    p.add_argument(
-        "--range",
-        action="append",
-        default=[],
-        dest="ranges",
-        metavar="NAME=START:STOP:STEP",
-        help="inclusive slot range (repeatable, row-major in flag order)",
-    )
-    field_flags(p)
-    common(p, formats=("text", "json", "csv"))
-
-    p = sub.add_parser("satake", help="Satake exponent bound for Sp(2n)")
-    p.add_argument("--n", type=_int_arg, required=True)
-    field_flag(p)
-    common(p)
-
-    p = sub.add_parser("small", help="small-representation tables for one group")
-    p.add_argument("--group", choices=sorted(g.value for g in GroupFamily), required=True)
-    p.add_argument("--n", type=_int_arg, required=True)
-    field_flag(p)
-    common(p)
-
-    return parser
-
-
 def _parse_range(spec: str) -> tuple[str, range]:
     name, eq, body = spec.partition("=")
     if not eq or not name:
@@ -301,15 +233,71 @@ def _run_small(args) -> str:
     )
 
 
-_HANDLERS = {
-    "dual": _run_dual,
-    "collapse": _run_collapse,
-    "analyze": _run_analyze,
-    "bounds": _run_bounds,
-    "scan": _run_scan,
-    "satake": _run_satake,
-    "small": _run_small,
+_FIELD = ("--field", dict(choices=[f.value for f in FieldKind], default="general"))
+_ASSUME = (
+    "--assume",
+    dict(
+        action="append",
+        default=[],
+        choices=[a.value for a in Assumption],
+        help="activate a conjectural assumption (repeatable)",
+    ),
+)
+_N = ("--n", dict(type=_int_arg, required=True))
+_TEXT_JSON = ("text", "json")
+
+# verb: (help, handler, arguments in order, formats).  An argument is a bare
+# positional name or a (flag, add_argument keywords) pair.
+_VERBS = {
+    "dual": ("dual of an odd orthogonal partition", _run_dual, ["partition"], _TEXT_JSON),
+    "collapse": ("symplectic collapse of an even-weight partition", _run_collapse, ["partition"], _TEXT_JSON),
+    "analyze": ("full cuspidality verdict for a parameter", _run_analyze, ["parameter", _FIELD, _ASSUME], _TEXT_JSON),
+    "bounds": ("bound triple for a parameter", _run_bounds, ["parameter"], _TEXT_JSON),
+    "scan": (
+        "verdicts over a parameter template grid",
+        _run_scan,
+        [
+            ("--template", dict(required=True, help="parameter with $name slots, e.g. '(1c,$b1)+(2s,$b2)'")),
+            (
+                "--range",
+                dict(
+                    action="append",
+                    default=[],
+                    dest="ranges",
+                    metavar="NAME=START:STOP:STEP",
+                    help="inclusive slot range (repeatable, row-major in flag order)",
+                ),
+            ),
+            _FIELD,
+            _ASSUME,
+        ],
+        ("text", "json", "csv"),
+    ),
+    "satake": ("Satake exponent bound for Sp(2n)", _run_satake, [_N, _FIELD], _TEXT_JSON),
+    "small": (
+        "small-representation tables for one group",
+        _run_small,
+        [("--group", dict(choices=sorted(g.value for g in GroupFamily), required=True)), _N, _FIELD],
+        _TEXT_JSON,
+    ),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cuspcheck",
+        description="Decide when a global Arthur packet of Sp(2n) provably has no cuspidal members.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, run, arguments, formats) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", metavar="FILE", default=None, help="write output to FILE instead of stdout")
+        p.set_defaults(run=run)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -317,7 +305,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # Inside the try: ``--n`` raises InvalidArgument for an over-long integer.
         args = parser.parse_args(argv)
-        rendered = _HANDLERS[args.verb](args)
+        rendered = args.run(args)
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -219,26 +219,22 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
     largest multiplicity history is kept so the witness tie-break is exact.
     """
     values = range(eta.part_at(0) // 2 * 2, 0, -2)
-    # prefix[c]: weight of eta's first c parts, for every count the DP can
-    # reach (at most four parts per value).
-    prefix = [0, *itertools.accumulate(itertools.islice(eta, 4 * len(values)))]
-    total = eta.weight
-
-    def bound(count: int) -> int:
-        return prefix[count] if count < len(prefix) else total
-
+    # prefix[c]: weight of eta's first c parts, zero-padded to every count the
+    # DP can reach (at most four parts per value).
+    padded = itertools.chain(eta, itertools.repeat(0))
+    prefix = [0, *itertools.accumulate(itertools.islice(padded, 4 * len(values)))]
     states: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): ()}
     for v in values:
         nxt: dict[tuple[int, int], tuple[int, ...]] = {}
         for (c, w), hist in states.items():
             for m in range(5):
                 c2, w2 = c + m, w + m * v
-                if m and w2 > bound(c2):
+                if m and w2 > prefix[c2]:
                     break  # the deficit only grows with larger m
-                key = (c2, w2)
+                # Histories at one stage have equal length, so any beats ().
                 h2 = hist + (m,)
-                if key not in nxt or h2 > nxt[key]:
-                    nxt[key] = h2
+                if h2 > nxt.get((c2, w2), ()):
+                    nxt[c2, w2] = h2
         states = nxt
     best_weight, best_hist = max((w, h) for (_, w), h in states.items())
     return best_weight, Partition._from_runs(zip(values, best_hist))

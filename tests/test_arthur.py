@@ -92,6 +92,25 @@ class TestValidate:
         assert set(exc.value.codes) >= {"parity-rule", "not-odd-weight"}
 
 
+class TestValueSemantics:
+    def test_equal_summands_give_equal_parameters(self):
+        a, b = parse_parameter("(1c,7)+(2s,2)"), parse_parameter("(1c,7)+(2s,2)")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert ArthurParameter(list(a.summands)) == a
+        assert a != str(a)
+
+    def test_summand_order_matters(self):
+        a, b = parse_parameter("(1c:x,7)+(2s:t,2)"), parse_parameter("(2s:t,2)+(1c:x,7)")
+        assert a.dual_partition() == b.dual_partition()
+        assert a != b
+
+    @pytest.mark.parametrize("name", ["n", "summands"])
+    def test_fields_are_read_only(self, name):
+        psi = parse_parameter("(1c,7)+(2s,2)")
+        with pytest.raises(AttributeError):
+            setattr(psi, name, getattr(psi, name))
+
+
 class TestPartitions:
     def test_attached_partition(self):
         psi = parse_parameter("(1c,7)+(2s,2)")
