@@ -283,14 +283,18 @@ _VERBS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser for one *verb*, or for every verb when *verb* is None."""
     parser = argparse.ArgumentParser(
         prog="cuspcheck",
         description="Decide when a global Arthur packet of Sp(2n) provably has no cuspidal members.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (help_text, run, arguments, formats) in _VERBS.items():
-        p = sub.add_parser(verb, help=help_text)
+    verbs = _VERBS if verb is None else {verb: _VERBS[verb]}
+    # A one-verb parser still lists all seven verbs in its top-level usage line.
+    metavar = None if verb is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, (help_text, run, arguments, formats) in verbs.items():
+        p = sub.add_parser(name, help=help_text)
         for arg in arguments:
             flag, options = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(flag, **options)
@@ -301,7 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a known verb first (-h, --, no argument, an unknown verb)
+    # needs the full parser for its help or its error.
+    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         # Inside the try: ``--n`` raises InvalidArgument for an over-long integer.
         args = parser.parse_args(argv)

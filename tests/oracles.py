@@ -119,24 +119,34 @@ def oracle_grs_max_dominated(eta: Partition) -> tuple[int, Partition]:
 def oracle_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
     """Max-weight admissible partition below eta in lexicographic order.
 
-    Enumerates every multiplicity assignment for the even values bounded by
-    eta's first part (5^(top/2) candidates) and keeps the best; heavy
-    assignments come first so light ones can be skipped by weight alone.
+    Searches the multiplicity assignments (0..4 copies) of the even values
+    bounded by eta's first part, heavy ones first, and keeps the best.  A
+    branch stops once four copies of every value left cannot reach the best
+    weight, or once its parts already exceed eta's lexicographically; every
+    full assignment still gets the plain comparison with eta.
     """
     top = eta.part_at(0) - eta.part_at(0) % 2
     values = list(range(top, 0, -2))
     eta_parts = eta.parts
+    eta_prefix = eta_parts + (0,) * (4 * len(values))
     best_w, best = 0, ()
-    for mults in itertools.product(range(4, -1, -1), repeat=len(values)):
-        w = sum(m * v for v, m in zip(values, mults))
-        if w < best_w:
-            continue
-        parts = tuple(v for v, m in zip(values, mults) for _ in range(m))
-        n = max(len(parts), len(eta_parts))
-        a = parts + (0,) * (n - len(parts))
-        b = eta_parts + (0,) * (n - len(eta_parts))
-        if a <= b and (w > best_w or parts > best):
-            best_w, best = w, parts
+
+    def search(i: int, w: int, parts: tuple[int, ...]) -> None:
+        nonlocal best_w, best
+        # Strict, so a tie still reaches the ``parts > best`` tie-break.
+        if w + 4 * sum(values[i:]) < best_w or parts > eta_prefix[: len(parts)]:
+            return
+        if i == len(values):
+            n = max(len(parts), len(eta_parts))
+            a = parts + (0,) * (n - len(parts))
+            b = eta_parts + (0,) * (n - len(eta_parts))
+            if a <= b and (w > best_w or parts > best):
+                best_w, best = w, parts
+            return
+        for m in range(4, -1, -1):
+            search(i + 1, w + m * values[i], parts + (values[i],) * m)
+
+    search(0, 0, ())
     return best_w, Partition(best)
 
 

@@ -7,7 +7,8 @@ and multiplicities 0..15, labels mixing allowed and forbidden characters,
 ``scan`` templates with a ``$b`` slot over at most 30 cells, and ``--n``
 from -3 to 10**6 plus text the integer grammar refuses.  Each runs in
 process through ``cli.main``; argparse's ``SystemExit`` counts as its exit
-code.  ``--out`` is left out: it writes files.
+code.  The same draws also require ``main``'s one-verb parser to print the
+bytes the full parser prints.  ``--out`` is left out: it writes files.
 
 Parameters stay small on purpose: the ``N2`` dominance DP still walks every
 even value below the dual partition's first part, so a parameter whose
@@ -16,13 +17,16 @@ keep ``eta[0]`` under 50.  Widen the grammar once ``N2`` no longer grows
 with ``eta[0]``.
 """
 
+import argparse
 import io
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from unittest.mock import patch
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cuspcheck import cli
 from cuspcheck.cli import main
 from cuspcheck.engine import Assumption, FieldKind
 
@@ -128,22 +132,26 @@ def run(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+# Every test here walks the same derandomized draws.
+fuzz = settings(
+    derandomize=True,
+    database=None,
+    max_examples=400,
+    deadline=timedelta(seconds=2),
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def test_every_argv_ends_in_a_documented_exit_code():
     seen = set()
 
-    @settings(
-        derandomize=True,
-        database=None,
-        max_examples=400,
-        deadline=timedelta(seconds=2),
-        suppress_health_check=[HealthCheck.too_slow],
-    )
+    @fuzz
     @given(ARGV)
     def check(argv):
-        code, err = run(argv)
+        code, _, err = run(argv)
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
         seen.add((argv[0], code))
@@ -152,3 +160,28 @@ def test_every_argv_ends_in_a_documented_exit_code():
     # The grammar reaches success on every verb and errors on every verb.
     assert {verb for verb, code in seen if code == 0} == set(VERBS)
     assert {verb for verb, code in seen if code == 2} == {*VERBS, "frobnicate"}
+
+
+def test_one_verb_parser_matches_the_full_parser():
+    """``main`` builds only the verb argv names; every byte and exit code stays."""
+    full_parser = cli.build_parser
+
+    # The draws never reach the top-level usage line or a verb's help, so
+    # these are added by hand.
+    @fuzz
+    @given(ARGV)
+    @example(["dual", "7 2^2", "--bogus"])
+    @example(["small", "--group", "sp", "--n", "3", "extra"])
+    @example(["analyze"])
+    @example(["scan", "--help"])
+    def check(argv):
+        one_verb = run(argv)
+        with patch.object(cli, "build_parser", lambda verb=None: full_parser()):
+            assert run(argv) == one_verb, argv
+
+    check()
+
+
+def test_full_parser_has_every_verb():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == VERBS

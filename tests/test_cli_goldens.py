@@ -31,6 +31,9 @@ CASES = {
     "unknown-group": ["small", "--group", "foo", "--n", "3"],
     "csv-on-dual": ["dual", "7 2^2", "--format", "csv"],
     "n-not-an-integer": ["satake", "--n", "abc"],
+    "stray-positional": ["small", "--group", "sp", "--n", "3", "extra"],
+    "verb-without-positional": ["analyze"],
+    "help-before-verb": ["-h", "small"],
 }
 
 pytestmark = pytest.mark.skipif(
