@@ -90,12 +90,20 @@ def grs_of_weight(weight: int) -> tuple[Partition, ...]:
 
 
 @lru_cache(maxsize=None)
-def grs_with_parts_at_most(max_part: int) -> tuple[Partition, ...]:
-    """All admissible partitions with parts <= max_part, heaviest first."""
-    values = list(range(2, max_part + 1, 2))
+def grs_with_parts_at_most(max_part: int, max_weight: int | None = None) -> tuple[Partition, ...]:
+    """All admissible partitions with parts <= max_part and weight <=
+    max_weight (no cap if None), heaviest first."""
+    values = range(max_part - max_part % 2, 0, -2)
     out = []
-    for mults in itertools.product(range(5), repeat=len(values)):
-        out.append(Partition(v for v, m in zip(values, mults) for _ in range(m)))
+
+    def extend(i: int, parts: tuple[int, ...], room: int) -> None:
+        if i == len(values):
+            out.append(Partition(parts))
+            return
+        for m in range(min(4, room // values[i]) + 1):
+            extend(i + 1, parts + (values[i],) * m, room - m * values[i])
+
+    extend(0, (), 4 * sum(values) if max_weight is None else max_weight)
     out.sort(key=lambda p: (-p.weight, p.parts))
     return tuple(out)
 
@@ -103,17 +111,13 @@ def grs_with_parts_at_most(max_part: int) -> tuple[Partition, ...]:
 def oracle_grs_max_dominated(eta: Partition) -> tuple[int, Partition]:
     """Max-weight admissible partition below eta in dominance order.
 
-    Candidate weights cannot exceed |eta|, so enumeration by exact weight is
-    complete.  Ties resolve to the lexicographically largest witness.
+    A partition dominated by eta has parts <= eta's first part and weight
+    <= |eta|, so enumerating those is complete.  Ties resolve to the
+    lexicographically largest witness.
     """
-    best_w, best = 0, Partition()
-    for w in range(eta.weight - eta.weight % 2, -1, -2):
-        feasible = [p for p in grs_of_weight(w) if naive_dominance_le(p, eta)]
-        if feasible:
-            best_w = w
-            best = max(feasible, key=lambda p: padded(p, eta)[0])
-            break
-    return best_w, best
+    feasible = [p for p in grs_with_parts_at_most(eta.part_at(0), eta.weight) if naive_dominance_le(p, eta)]
+    best = max(feasible, key=lambda p: (p.weight, p.parts))
+    return best.weight, best
 
 
 def oracle_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
@@ -292,28 +296,6 @@ def rules_reference(
     return tuple(firings)
 
 
-def iter_shape_parameters(max_total=21, max_rank=5, max_summands=4):
-    """Every realizable (rank, mult) multiset with odd total size <= max_total.
-
-    Types are forced: even multiplicity means symplectic (even rank),
-    odd multiplicity means orthogonal.
-    """
-    universe = []
-    for a in range(1, max_rank + 1):
-        for b in range(1, max_total + 1):
-            if a * b > max_total:
-                break
-            if b % 2 == 0 and a % 2:
-                continue
-            universe.append((a, b))
-    for r in range(1, max_summands + 1):
-        for combo in itertools.combinations_with_replacement(universe, r):
-            total = sum(a * b for a, b in combo)
-            if total % 2 == 0 or total < 3 or total > max_total:
-                continue
-            yield build_parameter(combo)
-
-
 def build_parameter(pairs) -> ArthurParameter:
     summands = []
     for i, (a, b) in enumerate(pairs, start=1):
@@ -322,23 +304,25 @@ def build_parameter(pairs) -> ArthurParameter:
     return ArthurParameter(summands)
 
 
-def corpus_domain(max_summands=3, max_rank=6, max_mult=9) -> list[tuple[tuple[int, int], ...]]:
-    """Every (rank, mult) multiset ``random_parameter`` can draw, as pairs.
+def shape_domain(max_summands=3, max_rank=6, max_mult=9, max_total=None):
+    """Every realizable (rank, mult) multiset, as pairs, with odd total size
+    at least 3 and at most max_total (no cap if None).
 
-    Types are forced as there: an even multiplicity needs an even rank.
+    The defaults are what ``random_parameter`` can draw.  Types are forced as
+    there: an even multiplicity needs an even rank (symplectic), an odd one
+    is orthogonal.
     """
     universe = [
         (a, b)
         for a in range(1, max_rank + 1)
         for b in range(1, max_mult + 1)
-        if b % 2 or a % 2 == 0
+        if (b % 2 or a % 2 == 0) and (max_total is None or a * b <= max_total)
     ]
-    return [
-        combo
-        for r in range(1, max_summands + 1)
-        for combo in itertools.combinations_with_replacement(universe, r)
-        if (total := sum(a * b for a, b in combo)) % 2 and total >= 3
-    ]
+    for r in range(1, max_summands + 1):
+        for combo in itertools.combinations_with_replacement(universe, r):
+            total = sum(a * b for a, b in combo)
+            if total % 2 and total >= 3 and (max_total is None or total <= max_total):
+                yield combo
 
 
 def random_parameter(rng: random.Random, max_summands=3, max_rank=6, max_mult=9) -> ArthurParameter:

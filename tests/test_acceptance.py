@@ -11,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cuspcheck
 from cuspcheck import (
     Assumption,
     FieldKind,
     GroupFamily,
+    InvalidPartition,
     OrderChoice,
     Partition,
     barbasch_vogan_dual,
@@ -73,6 +76,7 @@ def test_c3_figure_one_grid():
 
 def test_c4_minimal_admissible_table():
     table = {
+        2: P([2]),
         8: P([2, 2, 2, 2]),
         10: P([4, 2, 2, 2]),
         12: P([4, 2, 2, 2, 2]),
@@ -81,7 +85,7 @@ def test_c4_minimal_admissible_table():
     }
     for two_n, expected in table.items():
         assert grs_minimal_partition(two_n) == expected
-    print("ACCEPTANCE 4 PASS: minimal admissible partitions for 2n in {8,10,12,14,26}")
+    print("ACCEPTANCE 4 PASS: minimal admissible partitions for 2n in {2,8,10,12,14,26}")
 
 
 def test_c5_nonsingular_tables():
@@ -115,11 +119,13 @@ def test_c6_satake_bounds():
 
 def test_c7a_collapse_oracle():
     cases = 0
-    for w in range(0, 15, 2):
+    for w in range(0, 17, 2):
         for p in oracles.all_partitions(w):
-            assert symplectic_collapse(p) == oracles.oracle_collapse(p)
+            got = symplectic_collapse(p)
+            assert got == oracles.oracle_collapse(p), p
+            assert got.is_symplectic() and got.weight == p.weight and dominance_le(got, p)
             cases += 1
-    print(f"ACCEPTANCE 7a PASS: collapse equals brute-force dominance maximum ({cases} partitions, weight <= 14)")
+    print(f"ACCEPTANCE 7a PASS: collapse equals brute-force dominance maximum ({cases} partitions, weight <= 16)")
 
 
 def test_c7b_duality_recipes_agree():
@@ -127,11 +133,19 @@ def test_c7b_duality_recipes_agree():
     for w in range(1, 16, 2):
         for p in oracles.all_partitions(w):
             if p.is_orthogonal():
-                assert _dual_collapse_then_transpose(p) == _dual_transpose_then_collapse(p)
+                a = _dual_collapse_then_transpose(p)
+                assert a == _dual_transpose_then_collapse(p), p
+                assert a.is_symplectic() and a.weight == p.weight - 1
+                assert barbasch_vogan_dual(p) == a
                 agree += 1
     # The recipes are equivalent only on the orthogonal domain (the inputs
-    # that actually arise); outside it they provably differ, witness below.
-    assert _dual_collapse_then_transpose(P([2, 1, 1, 1])) != _dual_transpose_then_collapse(P([2, 1, 1, 1]))
+    # that actually arise); outside it they provably differ, witness below,
+    # so the dual rejects non-orthogonal input rather than pick a recipe.
+    p = P([2, 1, 1, 1])
+    assert _dual_collapse_then_transpose(p) == P([3, 1])
+    assert _dual_transpose_then_collapse(p) == P([4])
+    with pytest.raises(InvalidPartition):
+        barbasch_vogan_dual(p)
     print(
         f"ACCEPTANCE 7b PASS: both duality recipes agree on all {agree} orthogonal "
         "partitions of odd weight <= 15 (and provably disagree off that domain)"
@@ -139,24 +153,18 @@ def test_c7b_duality_recipes_agree():
 
 
 def test_c7c_bound_maximizers_vs_enumeration():
-    etas = {}
-    for psi in oracles.iter_shape_parameters(max_total=21, max_rank=5, max_summands=4):
-        etas.setdefault(psi.dual_partition(), psi)
-    lex_checked = 0
+    shapes = oracles.shape_domain(max_summands=4, max_rank=5, max_mult=21, max_total=21)
+    etas = {oracles.build_parameter(pairs).dual_partition() for pairs in shapes}
     for eta in etas:
-        assert grs_max_weight(eta, OrderChoice.DOMINANCE) == oracles.oracle_grs_max_dominated(eta)
-        if eta.part_at(0) <= 14:
-            assert grs_max_weight(eta, OrderChoice.LEX) == oracles.oracle_grs_max_lex(eta)
-            lex_checked += 1
-    print(
-        f"ACCEPTANCE 7c PASS: bound maximizers match enumeration on {len(etas)} duals "
-        f"(dominance: all; lex: {lex_checked} with first part <= 14, remainder in the engine suite)"
-    )
+        assert grs_max_weight(eta, OrderChoice.DOMINANCE) == oracles.oracle_grs_max_dominated(eta), eta
+        assert grs_max_weight(eta, OrderChoice.LEX) == oracles.oracle_grs_max_lex(eta), eta
+    print(f"ACCEPTANCE 7c PASS: both bound maximizers match enumeration on all {len(etas)} duals")
 
 
 def test_c7d_character_multiplicity_iff():
     checked = 0
-    for psi in oracles.iter_shape_parameters(max_total=19, max_rank=5, max_summands=3):
+    for pairs in oracles.shape_domain(max_summands=3, max_rank=5, max_mult=19, max_total=19):
+        psi = oracles.build_parameter(pairs)
         rank_one = [s for s in psi.summands if s.rank == 1]
         if not rank_one:
             continue

@@ -111,27 +111,8 @@ class TestGrsMaxWeight:
             assert grs_max_weight(eta, OrderChoice.DOMINANCE) == oracles.oracle_grs_max_dominated(eta)
             assert grs_max_weight(eta, OrderChoice.LEX) == oracles.oracle_grs_max_lex(eta)
 
-    def test_lex_oracle_large_first_parts(self):
-        # Completes the acceptance-suite coverage: duals with first part
-        # above 14 (rank sums 17..21) take too long for the acceptance time
-        # budget, so the handful of them are enumerated here instead.
-        etas = set()
-        for psi in oracles.iter_shape_parameters(max_total=21, max_rank=5, max_summands=4):
-            eta = psi.dual_partition()
-            if eta.part_at(0) > 14:
-                etas.add(eta)
-        assert etas
-        for eta in sorted(etas, key=lambda e: e.parts):
-            assert grs_max_weight(eta, OrderChoice.LEX) == oracles.oracle_grs_max_lex(eta)
-
 
 class TestBounds:
-    def test_worked_example(self):
-        b = bounds(parse_parameter("(5o,1)+(2s,8)"))
-        assert (b.n_a, b.n1, b.n2) == (48, 24, 16)
-        assert b.n1_witness == P([4, 4, 4, 4, 2, 2, 2, 2])
-        assert b.n2_witness == P([4, 4, 2, 2, 2, 2])
-
     def test_star_family_rank_bound(self):
         for b1, b2 in [(1, 2), (3, 2), (5, 2), (1, 4)]:
             report = bounds(parse_parameter(f"(1c,{b1})+(2s,{b2})"))
@@ -250,18 +231,6 @@ class TestVerdict:
         assert verdict(psi, FieldKind.TOTALLY_REAL).status is verdict(psi, FieldKind.GENERAL).status
         assert verdict(psi, TI).status is Status.NO_CUSPIDAL
 
-    def test_r2_fires_whenever_r3_fires_with_odd_n(self):
-        rng = random.Random(29)
-        checked = 0
-        for _ in range(500):
-            psi = oracles.random_parameter(rng)
-            v = verdict(psi, FieldKind.GENERAL)
-            fired = {f.rule for f in v.firings}
-            if "R3" in fired and psi.n % 2 == 1:
-                assert "R2" in fired
-                checked += 1
-        assert checked > 0
-
     def test_json_shape(self):
         v = verdict(parse_parameter("(1c,7)+(2s,2)"), FieldKind.GENERAL)
         d = v.to_dict()
@@ -270,36 +239,7 @@ class TestVerdict:
         assert all(set(f) == {"rule", "status", "conditional_on"} for f in d["firings"])
 
 
-class TestUnipotentOrderCharacterization:
-    def test_rank_one_dominant_iff(self):
-        # For a parameter whose rank-1 multiplicity strictly dominates the
-        # others: b > n+1 exactly when [2^n] is not below the dual partition.
-        for psi in oracles.iter_shape_parameters(max_total=19, max_rank=5, max_summands=3):
-            rank_one = [s for s in psi.summands if s.rank == 1]
-            if not rank_one:
-                continue
-            b = max(s.mult for s in rank_one)
-            if any(s.mult >= b for s in psi.summands if s.rank != 1):
-                continue
-            n = psi.n
-            expected = b > n + 1
-            below = dominance_le(P([2] * n), psi.dual_partition())
-            assert (not below) == expected, psi
-
-
 class TestScan:
-    def test_figure_one(self):
-        cells = scan(
-            "(1c,$b1)+(2s,$b2)",
-            [("b1", [1, 3, 5, 7]), ("b2", [2, 4, 6])],
-            field=TI,
-        )
-        stars = {
-            tuple(v for _, v in c.slots) for c in cells if c.status_text == "Undetermined"
-        }
-        assert stars == {(1, 2), (3, 2), (5, 2), (1, 4)}
-        assert sum(1 for c in cells if c.status_text == "NoCuspidal") == 8
-
     def test_row_major_order(self):
         cells = scan("(1c,$b)+(2s,2)", [("b", [1, 3])])
         assert [dict(c.slots)["b"] for c in cells] == [1, 3]
@@ -351,14 +291,6 @@ class TestScan:
 
 
 class TestInvariants:
-    def test_bound_chain_random(self):
-        rng = random.Random(41)
-        for _ in range(500):
-            psi = oracles.random_parameter(rng)
-            b = bounds(psi)
-            assert b.n2 <= b.n1 <= b.n_a
-            assert b.n2 <= 2 * psi.n
-
     def test_no_contradictions_all_assumptions(self):
         rng = random.Random(43)
         every = frozenset(Assumption)

@@ -1,12 +1,13 @@
-"""Every name a package module imports is used in that module, every
-private module-level name is used somewhere in the package, and only
-``partitions.py`` touches the stored run form of a ``Partition``.
+"""Every name a package or test module imports is used in that module,
+every private module-level name is used somewhere in the package, every
+oracle is used somewhere in the tests, and only ``partitions.py`` touches
+the stored run form of a ``Partition``.
 
 No linter ships with the test dependencies, so these are the one check for
-stale imports and dead private helpers.  ``__init__.py`` is exempt from the
-import check: its star imports re-export.  Other modules build partitions
-through ``Partition._from_runs`` and read them through ``exponents()``, so
-the canonical form has one owner.
+stale imports and dead helpers.  ``__init__.py`` is exempt from the import
+check: its star imports re-export.  Other modules build partitions through
+``Partition._from_runs`` and read them through ``exponents()``, so the
+canonical form has one owner.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +34,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -57,7 +59,7 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return found
 
 
-def references(tree: ast.Module) -> set[str]:
+def references(tree: ast.AST) -> set[str]:
     """Names read, attributes read, and names imported ``from`` another module."""
     refs = set()
     for node in ast.walk(tree):
@@ -92,6 +94,31 @@ def test_the_check_sees_a_dead_private_name():
         "b.py": "from a import _helper\n_helper()\n",
     }
     assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 4: _Gone"]
+
+
+def unreferenced_functions(module: str, sources: dict[str, str]) -> list[str]:
+    """Top-level functions of ``module`` that nothing outside their own body references."""
+    body = ast.parse(sources[module]).body
+    outside = set().union(*(references(ast.parse(s)) for name, s in sources.items() if name != module))
+    return [
+        f"{module} line {node.lineno}: {node.name}"
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name not in outside.union(*(references(other) for other in body if other is not node))
+    ]
+
+
+def test_every_oracle_is_used():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in TEST_MODULES}
+    assert unreferenced_functions("oracles.py", sources) == []
+
+
+def test_the_check_sees_an_unused_oracle():
+    sources = {
+        "o.py": "def used(): return helper()\ndef helper(): return 1\ndef recursive(): return recursive()\ndef dead(): pass\n",
+        "t.py": "import o\no.used()\n",
+    }
+    assert unreferenced_functions("o.py", sources) == ["o.py line 3: recursive", "o.py line 4: dead"]
 
 
 RUN_FORM = ("_runs", "_set_runs")

@@ -21,7 +21,7 @@ def fired():
     every = tuple(Assumption)
     return [
         {f.rule: f for f in verdict(oracles.build_parameter(pairs), FieldKind.TOTALLY_IMAGINARY, every).firings}
-        for pairs in oracles.corpus_domain()
+        for pairs in oracles.shape_domain()
     ]
 
 

@@ -27,7 +27,7 @@ from cuspcheck import engine
 
 import oracles
 
-DOMAIN = oracles.corpus_domain()
+DOMAIN = list(oracles.shape_domain())
 
 
 def reports(n: int):

@@ -28,20 +28,6 @@ TI = FieldKind.TOTALLY_IMAGINARY
 
 
 class TestGrsMinimal:
-    @pytest.mark.parametrize(
-        "two_n,expected",
-        [
-            (8, [2, 2, 2, 2]),
-            (10, [4, 2, 2, 2]),
-            (12, [4, 2, 2, 2, 2]),
-            (14, [4, 4, 2, 2, 2]),
-            (26, [6, 4, 4, 4, 2, 2, 2, 2]),
-            (2, [2]),
-        ],
-    )
-    def test_table(self, two_n, expected):
-        assert grs_minimal_partition(two_n) == P(expected)
-
     def test_invalid_inputs(self):
         for bad in (0, 7, -2):
             with pytest.raises(InvalidArgument):
@@ -66,32 +52,6 @@ class TestGrsMinimal:
 
 
 class TestNonsingular:
-    @pytest.mark.parametrize(
-        "family,n,expected",
-        [
-            (GroupFamily.C, 5, [2] * 5),
-            (GroupFamily.B, 4, [2, 2, 2, 2, 1]),
-            (GroupFamily.D, 5, [2, 2, 2, 2, 1, 1]),
-            (GroupFamily.B, 3, [2, 2, 1, 1, 1]),
-            (GroupFamily.D, 4, [2, 2, 2, 2]),
-        ],
-    )
-    def test_partition(self, family, n, expected):
-        assert nonsingular_partition(family, n) == P(expected)
-
-    @pytest.mark.parametrize(
-        "family,n,expected",
-        [
-            (GroupFamily.B, 4, [3, 2, 2, 1, 1]),
-            (GroupFamily.C, 6, [2] * 6),
-            (GroupFamily.B, 5, [3, 2, 2, 1, 1, 1, 1]),
-            (GroupFamily.B, 2, [3, 1, 1]),
-            (GroupFamily.D, 5, [2, 2, 2, 2, 1, 1]),
-        ],
-    )
-    def test_expansion(self, family, n, expected):
-        assert nonsingular_expansion(family, n) == P(expected)
-
     def test_c_and_d_fixed(self):
         for n in range(1, 8):
             assert nonsingular_expansion(GroupFamily.C, n) == nonsingular_partition(GroupFamily.C, n)
