@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .arthur import ArthurParameter, parse_parameter, render_parameter
 from .engine import (
@@ -109,7 +109,7 @@ def _rules_text(cell: ScanCell) -> str:
     return ";".join(f.rule for f in cell.verdict.firings)
 
 
-def _scan_rows(names: list[str], cells: list[ScanCell]) -> list[list[str]]:
+def _scan_rows(names: list[str], cells: Iterable[ScanCell]) -> list[list[str]]:
     # A cell's slots come in the order of the ranges, as the names do.
     rows = [[*names, "status", "rules"]]
     for cell in cells:
@@ -319,14 +319,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CuspcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = rendered + "\n"
-    if args.out is not None:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    if args.out is None:
+        print(rendered)
+        return 0
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            print(rendered, file=fh)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0

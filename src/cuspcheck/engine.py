@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from string import Template
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .arthur import ArthurParameter, parse_parameter
 from .errors import (
@@ -373,13 +373,16 @@ def scan(
     ranges: Sequence[tuple[str, Sequence[int]]],
     field: FieldKind = FieldKind.GENERAL,
     assumptions: Iterable[Assumption] = (),
-) -> list[ScanCell]:
-    """Evaluate a parameter template over integer ranges.
+) -> Iterator[ScanCell]:
+    """Evaluate a parameter template over integer ranges, one cell at a time.
 
     ``ranges`` is an ordered list of (slot name, values); the grid is walked
     row-major in that order.  Cells whose instantiation fails validation are
-    reported with status Invalid rather than dropped.  A grid of more than
-    ``_MAX_SCAN_CELLS`` cells is rejected before any cell is built.
+    reported with status Invalid rather than dropped.  The template, the
+    slot names and the grid size are checked when ``scan`` is called; a grid
+    of more than ``_MAX_SCAN_CELLS`` cells is rejected before any cell is
+    built.  Each cell is evaluated only when the returned iterator reaches
+    it, so a caller that streams the cells never holds the whole grid.
     """
     field = _read_enum(FieldKind, field)
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
@@ -409,4 +412,4 @@ def scan(
         except CuspcheckError as exc:
             return ScanCell(cell_slots, None, str(exc))
 
-    return [evaluate(c) for c in itertools.product(*(vals for _, vals in ranges))]
+    return map(evaluate, itertools.product(*(vals for _, vals in ranges)))

@@ -314,12 +314,16 @@ def parse_partition(text: str) -> Partition:
 def compare_lex(p: Partition, q: Partition) -> Order:
     """Lexicographic comparison after zero-padding; a total order.
 
-    Partitions of different weights are comparable.
+    Partitions of different weights are comparable.  The stored runs
+    ``(v1, m1, v2, m2, ...)`` order exactly as the padded part sequences do:
+    a first differing value is the first differing part; at a first differing
+    multiplicity the shorter run is followed by a smaller value or by
+    padding; and a run list that is a prefix of the other is followed by
+    padding alone.
     """
-    for (a, b), _ in _segments(p, q):
-        if a != b:
-            return Order.LESS if a < b else Order.GREATER
-    return Order.EQUAL
+    if p._runs == q._runs:
+        return Order.EQUAL
+    return Order.LESS if p._runs < q._runs else Order.GREATER
 
 
 def compare_dominance(p: Partition, q: Partition) -> Order:

@@ -21,10 +21,8 @@ from cuspcheck import (
     SelfDualType,
     SimpleParameter,
     Status,
-    is_grs_admissible,
     partitions_of,
 )
-from cuspcheck.engine import _tail_weight
 
 
 @lru_cache(maxsize=None)
@@ -82,11 +80,6 @@ def oracle_expansion(p: Partition, admits, special) -> Partition:
     minima = [q for q in cands if not any(naive_dominance_le(r, q) and q != r for r in cands)]
     assert len(minima) == 1, (p, minima)
     return minima[0]
-
-
-@lru_cache(maxsize=None)
-def grs_of_weight(weight: int) -> tuple[Partition, ...]:
-    return tuple(p for p in all_partitions(weight) if is_grs_admissible(p))
 
 
 @lru_cache(maxsize=None)
@@ -152,48 +145,6 @@ def oracle_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
 
     search(0, 0, ())
     return best_w, Partition(best)
-
-
-def candidates_grs_max_lex(eta: Partition) -> tuple[int, Partition]:
-    """Max-weight admissible partition below eta in lexicographic order, by
-    building every tied candidate and comparing their runs.
-
-    The reference for duals whose first part puts ``oracle_grs_max_lex``
-    out of reach.  A candidate either equals eta, or copies a prefix of eta
-    and then drops strictly below it; after dropping, the lexicographic
-    constraint is slack, so the best continuation packs four copies of every
-    smaller even value.  A feasible prefix ends inside at most the first five
-    copies of a run, so there are O(runs) candidates; each is kept as
-    (weight, runs copied, copies of the next run, tail top) and only the
-    heaviest are built.
-    """
-    runs = tuple(eta.exponents())
-    candidates: list[tuple[int, int, int, int]] = []
-    if is_grs_admissible(eta):
-        candidates.append((eta.weight, len(runs), 0, 0))
-    prefix_weight = 0
-    for i, (u, m) in enumerate(runs):
-        # Tails must stay strictly below u: top is the largest even value < u.
-        top = u - 2 if u % 2 == 0 else u - 1
-        # The prefix may go on with k copies of an even u, up to four, and
-        # fewer than m (all m carry on to the next run); an odd u, none.
-        for k in range(min(m, 5) if u % 2 == 0 else 1):
-            w = prefix_weight + k * u
-            candidates.append((w, i, k, 0))
-            if top >= 2:
-                candidates.append((w + _tail_weight(top), i, k, top))
-        if u % 2 or m > 4:
-            break
-        prefix_weight += u * m
-    best_weight = max(c[0] for c in candidates)
-
-    def built(i: int, k: int, top: int) -> tuple[tuple[int, int], ...]:
-        head = runs[:i] + (((runs[i][0], k),) if k else ())
-        return head + tuple((v, 4) for v in range(top, 0, -2))
-
-    # Runs tuples order exactly as the part sequences do lexicographically.
-    best = max(built(i, k, top) for w, i, k, top in candidates if w == best_weight)
-    return best_weight, Partition._from_runs(best)
 
 
 def dp_grs_max_dominated(eta: Partition) -> tuple[int, Partition]:

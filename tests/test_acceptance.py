@@ -112,9 +112,11 @@ def test_c6_satake_bounds():
     for field in FieldKind:
         b = satake_exponent_bound(4, field)
         assert b.theta == 2 and b.sharp
-    assert satake_exponent_bound(5, TI).theta == 2
-    assert satake_exponent_bound(5, FieldKind.GENERAL).theta == Fraction(135, 64)
-    print("ACCEPTANCE 6 PASS: exponent bounds 2 (sharp), 2, 135/64")
+    b = satake_exponent_bound(5, TI)
+    assert b.theta == 2 and not b.sharp
+    b = satake_exponent_bound(5, FieldKind.GENERAL)
+    assert b.theta == Fraction(135, 64) and not b.sharp
+    print("ACCEPTANCE 6 PASS: exponent bounds 2 (sharp), 2 and 135/64 (not sharp)")
 
 
 def test_c7a_collapse_oracle():

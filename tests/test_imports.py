@@ -1,4 +1,4 @@
-"""Every name a package or test module imports is used in that module,
+"""Every name a package, test or benchmark module imports is used in that module,
 every private module-level name is used somewhere in the package, every
 oracle is used somewhere in the tests, and only ``partitions.py`` touches
 the stored run form of a ``Partition``.
@@ -15,9 +15,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cuspcheck"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cuspcheck"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# The benchmark's modules get the unused-import check only.
+BENCH_MODULES = sorted((ROOT / "cuspbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +37,7 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES + BENCH_MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

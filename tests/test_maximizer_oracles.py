@@ -1,12 +1,13 @@
-"""The bound maximizers against their candidate-comparing and DP references.
+"""The bound maximizers against their brute-force and DP references.
 
 ``grs_max_weight`` picks its witness by construction: the lexicographic
 maximizer keeps one candidate per prefix of eta and takes the heaviest with
 the longest prefix; the dominance maximizer takes one ``max`` over its DP
-states.  ``oracles.candidates_grs_max_lex`` builds every tied candidate and
-compares their runs, and ``oracles.dp_grs_max_dominated`` reads its prefix
-bounds off eta's runs and takes a two-pass maximum.  Both must agree exactly,
-in weight and in witness, on inputs far beyond what brute force reaches.
+states.  ``oracles.oracle_grs_max_lex`` searches every multiplicity
+assignment (with branch and bound), which still reaches first parts near 300;
+``oracles.dp_grs_max_dominated`` reads its prefix bounds off eta's runs and
+takes a two-pass maximum, because enumerating the dominated partitions does
+not reach that far.  Both must agree exactly, in weight and in witness.
 """
 
 import random
@@ -17,7 +18,7 @@ import oracles
 from cuspcheck import OrderChoice, Partition, grs_max_weight
 
 REFERENCES = {
-    OrderChoice.LEX: oracles.candidates_grs_max_lex,
+    OrderChoice.LEX: oracles.oracle_grs_max_lex,
     OrderChoice.DOMINANCE: oracles.dp_grs_max_dominated,
 }
 
@@ -29,7 +30,7 @@ def symplectic_partitions(max_weight: int) -> list[Partition]:
 def random_duals(count: int, seed: int) -> list[Partition]:
     """Duals of random parameters: mostly small ranks, some long duals from
     large multiplicities, and a few single summands of rank up to 300, so
-    first parts reach ~300 while the DP stays affordable."""
+    first parts reach ~300 while both references stay affordable."""
     rng = random.Random(seed)
     duals = []
     for i in range(count):
@@ -69,4 +70,4 @@ def test_lex_on_random_symplectic_partitions():
     rng = random.Random(9)
     for _ in range(20000):
         eta = random_symplectic(rng)
-        assert grs_max_weight(eta, OrderChoice.LEX) == oracles.candidates_grs_max_lex(eta), eta
+        assert grs_max_weight(eta, OrderChoice.LEX) == oracles.oracle_grs_max_lex(eta), eta

@@ -249,8 +249,6 @@ class TestBarbaschVoganDual:
     @pytest.mark.parametrize(
         "p,expected",
         [
-            ([7, 2, 2], [3, 3, 1, 1, 1, 1]),
-            ([8, 8, 1, 1, 1, 1, 1], [6, 2, 2, 2, 2, 2, 2, 2]),
             ([1] * 11, [10]),
             ([4, 4, 1], [2, 2, 2, 2]),
             ([5, 5, 5], [3, 3, 3, 3, 2]),

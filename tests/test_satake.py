@@ -8,19 +8,6 @@ TI = FieldKind.TOTALLY_IMAGINARY
 
 
 class TestBound:
-    def test_even_sharp(self):
-        for field in FieldKind:
-            b = satake_exponent_bound(4, field)
-            assert b.theta == 2 and b.sharp
-
-    def test_odd_imaginary(self):
-        b = satake_exponent_bound(5, TI)
-        assert b.theta == 2 and not b.sharp
-
-    def test_odd_general(self):
-        b = satake_exponent_bound(5, FieldKind.GENERAL)
-        assert b.theta == Fraction(135, 64) and not b.sharp
-
     def test_odd_small_imaginary_falls_through(self):
         # The totally-imaginary improvement needs n >= 5.
         assert satake_exponent_bound(3, TI).theta == Fraction(7, 64) + 1
