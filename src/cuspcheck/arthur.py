@@ -12,10 +12,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidArgument, ParameterError
-from .partitions import Partition, _read_int, barbasch_vogan_dual
+from .partitions import _CACHE_ENTRIES, Partition, _read_int, barbasch_vogan_dual
 
 __all__ = [
     "SelfDualType",
@@ -214,6 +215,25 @@ def _auto_label(position: int) -> str:
     return f"tau{position}"
 
 
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _parse_summand(piece: str, position: int) -> SimpleParameter:
+    """The summand that the stripped text ``piece`` names at 1-based ``position``.
+
+    Cached by both arguments, since an omitted label is ``tau<position>``.
+    A malformed piece raises on every call: errors are not cached.
+    """
+    m = _SIMPLE.match(piece)
+    if not m:
+        raise InvalidArgument(f"cannot parse simple parameter {piece!r}")
+    rank, mult = _read_int(m.group(1)), _read_int(m.group(4))
+    typ = m.group(2)
+    label = m.group(3) or _auto_label(position)
+    if typ == "c" and rank != 1:
+        raise InvalidArgument(f"type 'c' means a rank-1 character, got rank {rank} in {piece!r}")
+    dual = SelfDualType.SYMPLECTIC if typ == "s" else SelfDualType.ORTHOGONAL
+    return SimpleParameter(label=label, rank=rank, mult=mult, dual_type=dual)
+
+
 def parse_parameter(text: str) -> ArthurParameter:
     """Parse strings like ``(1c,7)+(2s,2)`` or ``(2o:tau,5)+(1o:w,1)``.
 
@@ -225,19 +245,7 @@ def parse_parameter(text: str) -> ArthurParameter:
     pieces = [piece.strip() for piece in text.strip().split("+")]
     if pieces == [""]:
         raise InvalidArgument("empty parameter string")
-    summands = []
-    for idx, piece in enumerate(pieces, start=1):
-        m = _SIMPLE.match(piece)
-        if not m:
-            raise InvalidArgument(f"cannot parse simple parameter {piece!r}")
-        rank, mult = _read_int(m.group(1)), _read_int(m.group(4))
-        typ = m.group(2)
-        label = m.group(3) or _auto_label(idx)
-        if typ == "c" and rank != 1:
-            raise InvalidArgument(f"type 'c' means a rank-1 character, got rank {rank} in {piece!r}")
-        dual = SelfDualType.SYMPLECTIC if typ == "s" else SelfDualType.ORTHOGONAL
-        summands.append(SimpleParameter(label=label, rank=rank, mult=mult, dual_type=dual))
-    return ArthurParameter(summands)
+    return ArthurParameter([_parse_summand(piece, idx) for idx, piece in enumerate(pieces, start=1)])
 
 
 def render_parameter(psi: ArthurParameter) -> str:

@@ -23,7 +23,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import Partition, _read_enum, is_grs_admissible
+from .partitions import _CACHE_ENTRIES, Partition, _read_enum, is_grs_admissible
 
 __all__ = [
     "FieldKind",
@@ -176,7 +176,7 @@ def _tail_weight(top: int) -> int:
     return 4 * half * (half + 1)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
     """Maximal-weight admissible partition lexicographically below eta.
 
@@ -208,7 +208,7 @@ def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
     return weight, Partition._from_runs(head + tuple((v, 4) for v in range(top, 0, -2)))
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=_CACHE_ENTRIES)
 def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
     """Maximal-weight admissible partition dominated by eta.
 

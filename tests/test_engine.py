@@ -154,6 +154,7 @@ class TestVerdict:
 
             return wrapper
 
+        cuspcheck.partitions.barbasch_vogan_dual.cache_clear()
         dual = counted("dual", cuspcheck.partitions.barbasch_vogan_dual)
         monkeypatch.setattr(cuspcheck.arthur, "barbasch_vogan_dual", dual)
         monkeypatch.setattr(cuspcheck.partitions, "barbasch_vogan_dual", dual)
@@ -165,6 +166,10 @@ class TestVerdict:
         verdict(parse_parameter("(1c,7)+(2s,2)"), TI, frozenset(Assumption))
         # One dual, which runs both recipes: one collapse each.
         assert calls == {"dual": 1, "collapse": 2}
+        # The same p_psi under other labels asks for its dual again, and the
+        # cache answers without running either recipe.
+        verdict(parse_parameter("(1c:x,7)+(2s:y,2)"), TI, frozenset(Assumption))
+        assert calls == {"dual": 2, "collapse": 2}
 
     def test_one_dual_per_parameter(self, monkeypatch):
         import cuspcheck.arthur

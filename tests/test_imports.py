@@ -1,7 +1,8 @@
 """Every name a package, test or benchmark module imports is used in that module,
 every private module-level name is used somewhere in the package, every
-oracle is used somewhere in the tests, and only ``partitions.py`` touches
-the stored run form of a ``Partition``.
+oracle is used somewhere in the tests, only ``partitions.py`` touches
+the stored run form of a ``Partition``, and every cache in the package is
+bounded by the one constant ``_CACHE_ENTRIES``.
 
 No linter ships with the test dependencies, so these are the one check for
 stale imports and dead helpers.  ``__init__.py`` is exempt from the import
@@ -146,3 +147,42 @@ def test_run_form_stays_in_partitions(path):
 def test_the_check_sees_a_run_form_access():
     source = 'def f(p):\n    return p._runs[0]\nq._set_runs([])\ngetattr(r, "_runs")\ns._runs_seen, t._pairs()\n'
     assert run_form_accesses(source) == ["line 2: _runs", "line 3: _set_runs", "line 4: _runs"]
+
+
+BOUNDED_CACHE = "lru_cache(maxsize=_CACHE_ENTRIES)"
+
+
+def cache_uses(source: str) -> list[str]:
+    """Each ``lru_cache`` or ``cache`` the source uses, as written: the call when it is called."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    uses = [
+        (node.lineno, ast.unparse(calls.get(id(node), node)))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+        or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+    ]
+    return [f"line {line}: {text}" for line, text in sorted(uses)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_cache_has_the_one_bound(path):
+    # Every cache in the package shares one bound, partitions._CACHE_ENTRIES.
+    uses = cache_uses(path.read_text(encoding="utf-8"))
+    assert [use for use in uses if not use.endswith(": " + BOUNDED_CACHE)] == []
+
+
+def test_the_check_sees_an_unbounded_cache():
+    source = (
+        "from functools import cache, lru_cache\n"
+        f"@{BOUNDED_CACHE}\ndef a(x): pass\n"
+        "@functools.lru_cache(maxsize=4096)\ndef b(x): pass\n"
+        "@lru_cache\ndef c(x): pass\n"
+        "@cache\ndef d(x): pass\n"
+    )
+    assert cache_uses(source) == [
+        f"line 2: {BOUNDED_CACHE}",
+        "line 4: functools.lru_cache(maxsize=4096)",
+        "line 6: lru_cache",
+        "line 8: cache",
+    ]

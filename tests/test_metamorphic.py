@@ -1,10 +1,12 @@
 """Metamorphic invariants of the verdict engine on seeded random parameters.
 
-Each test changes the input in a way that must leave the answer as it was
-(or, for assumptions, may only strengthen it) and compares the two answers.
+Each test changes the input, or what the package's caches hold, in a way
+that must leave the answer as it was (or, for assumptions, may only
+strengthen it) and compares the two answers.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from cuspcheck import (
     ArthurParameter,
     Assumption,
     FieldKind,
+    InvalidArgument,
     Status,
     parse_parameter,
     render_parameter,
@@ -75,3 +78,48 @@ def test_render_parse_round_trip(params):
         again = parse_parameter(text)
         assert again == psi, text
         assert render_parameter(again) == text
+
+
+def clear_caches():
+    """Empty every ``functools`` cache in the package, as a fresh process has."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cuspcheck."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def test_caches_change_no_verdict():
+    rng = random.Random(16)
+    texts = [render_parameter(oracles.random_parameter(rng)) for _ in range(2000)]
+    every = frozenset(Assumption)
+
+    def answers(text):
+        return [verdict(parse_parameter(text), field, every).to_dict() for field in FieldKind]
+
+    cold = []
+    for text in texts:
+        clear_caches()
+        cold.append(answers(text))
+    warm = [answers(text) for text in texts]
+    backward = [answers(text) for text in reversed(texts)]
+    assert warm == cold
+    assert backward[::-1] == cold
+
+
+def test_summand_label_follows_its_position():
+    piece = "(2s,2)"
+    first, second = f"{piece}+(1c,1)", f"(1c,1)+{piece}"
+    clear_caches()
+    for _ in range(2):  # cold, then warm
+        assert parse_parameter(first).summands[0].label == "tau1"
+        assert parse_parameter(second).summands[1].label == "tau2"
+        for text in (first, second):
+            assert render_parameter(parse_parameter(text)) == text
+
+
+@pytest.mark.parametrize("text,message", [("(2x,3)", "cannot parse"), ("(3c,1)+(2s,2)", "type 'c'")])
+def test_malformed_summand_raises_every_time(text, message):
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match=message):
+            parse_parameter(text)

@@ -39,6 +39,11 @@ P = Partition
 partition_lists = st.lists(st.integers(min_value=1, max_value=24), max_size=14)
 
 
+def by_input(rows):
+    """``(p, expected)`` rows as parameters whose ids are the input, e.g. ``[7 2^2]``."""
+    return [pytest.param(p, expected, id=str(P(p))) for p, expected in rows]
+
+
 def all_upto(maxweight, step=1, start=0):
     for w in range(start, maxweight + 1, step):
         yield from oracles.all_partitions(w)
@@ -119,12 +124,12 @@ class TestFromRuns:
 class TestTranspose:
     @pytest.mark.parametrize(
         "p,expected",
-        [
+        by_input([
             ([7, 2, 2], [3, 3, 1, 1, 1, 1, 1]),
             ([8, 8, 1, 1, 1, 1, 1], [7, 2, 2, 2, 2, 2, 2, 2]),
             ([5, 5, 5, 2, 2, 2, 2], [7, 7, 3, 3, 3]),
             ([], []),
-        ],
+        ]),
     )
     def test_examples(self, p, expected):
         assert P(p).transpose() == P(expected)
@@ -248,12 +253,12 @@ class TestOrders:
 class TestBarbaschVoganDual:
     @pytest.mark.parametrize(
         "p,expected",
-        [
+        by_input([
             ([1] * 11, [10]),
             ([4, 4, 1], [2, 2, 2, 2]),
             ([5, 5, 5], [3, 3, 3, 3, 2]),
             ([5, 3, 3, 1, 1], [4, 4, 2, 2]),
-        ],
+        ]),
     )
     def test_goldens(self, p, expected):
         assert barbasch_vogan_dual(P(p)) == P(expected)

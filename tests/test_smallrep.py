@@ -128,12 +128,15 @@ class TestConjecturedLowerBound:
     @pytest.mark.parametrize(
         "family,n,expected",
         [
-            (GroupFamily.B, 4, [3, 3, 1, 1, 1]),
-            (GroupFamily.B, 5, [3, 3, 3, 1, 1]),
-            (GroupFamily.D, 4, [3, 3, 1, 1]),
-            (GroupFamily.D, 5, [5, 3, 1, 1]),
-            (GroupFamily.B, 1, [3]),
-            (GroupFamily.D, 3, [5, 1]),
+            pytest.param(family, n, expected, id=f"{family.name}{n}")
+            for family, n, expected in [
+                (GroupFamily.B, 4, [3, 3, 1, 1, 1]),
+                (GroupFamily.B, 5, [3, 3, 3, 1, 1]),
+                (GroupFamily.D, 4, [3, 3, 1, 1]),
+                (GroupFamily.D, 5, [5, 3, 1, 1]),
+                (GroupFamily.B, 1, [3]),
+                (GroupFamily.D, 3, [5, 1]),
+            ]
         ],
     )
     def test_values(self, family, n, expected):
