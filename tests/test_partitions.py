@@ -40,7 +40,7 @@ partition_lists = st.lists(st.integers(min_value=1, max_value=24), max_size=14)
 
 
 def by_input(rows):
-    """``(p, expected)`` rows as parameters whose ids are the input, e.g. ``[7 2^2]``."""
+    """``(p, expected)`` rows as parameters whose ids are the input, e.g. ``[4^2 1]``."""
     return [pytest.param(p, expected, id=str(P(p))) for p, expected in rows]
 
 
@@ -124,12 +124,12 @@ class TestFromRuns:
 class TestTranspose:
     @pytest.mark.parametrize(
         "p,expected",
-        by_input([
+        [
             ([7, 2, 2], [3, 3, 1, 1, 1, 1, 1]),
             ([8, 8, 1, 1, 1, 1, 1], [7, 2, 2, 2, 2, 2, 2, 2]),
             ([5, 5, 5, 2, 2, 2, 2], [7, 7, 3, 3, 3]),
             ([], []),
-        ]),
+        ],
     )
     def test_examples(self, p, expected):
         assert P(p).transpose() == P(expected)
