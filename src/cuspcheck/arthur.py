@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidArgument, ParameterError
-from .partitions import _CACHE_ENTRIES, Partition, _read_int, barbasch_vogan_dual
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_int, barbasch_vogan_dual
 
 __all__ = [
     "SelfDualType",
@@ -78,10 +78,8 @@ class SimpleParameter:
             raise InvalidArgument(
                 f"summand label must be nonempty, without whitespace, ',', '(', ')' or '+', got {self.label!r}"
             )
-        if self.rank < 1:
-            raise InvalidArgument(f"rank must be at least 1, got {self.rank}")
-        if self.mult < 1:
-            raise InvalidArgument(f"multiplicity must be at least 1, got {self.mult}")
+        _read_count("rank", self.rank)
+        _read_count("multiplicity", self.mult)
         if self.central_char is None:
             if self.rank == 1:
                 triv = Triviality.TRIVIAL if self.label == "1" else Triviality.UNKNOWN

@@ -23,7 +23,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import _CACHE_ENTRIES, Partition, _read_enum, is_grs_admissible
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, is_grs_admissible
 
 __all__ = [
     "FieldKind",
@@ -148,9 +148,7 @@ def rank_only_bound(ranks: Sequence[int]) -> int:
     """
     if not ranks:
         raise InvalidArgument("rank tuple must be nonempty")
-    if min(ranks) < 1:
-        raise InvalidArgument(f"rank must be at least 1, got {min(ranks)}")
-    a = sum(ranks)
+    a = sum(_read_count("rank", r) for r in ranks)
     return _tail_weight(a - a % 2)
 
 

@@ -26,10 +26,7 @@ from .errors import (
 __all__ = [
     "Partition",
     "GroupFamily",
-    "Order",
     "parse_partition",
-    "compare_lex",
-    "compare_dominance",
     "dominance_le",
     "lex_le",
     "symplectic_collapse",
@@ -85,6 +82,16 @@ def _read_enum(kind: type[Enum], value: object) -> Enum:
         raise InvalidArgument(f"{kind.__name__} must be a member or one of {choices}, got {value!r}") from None
 
 
+def _read_count(name: str, value: object, least: int | None = 1) -> int:
+    """``value`` for an integer argument: an ``int``, not a ``bool``, and at least
+    ``least`` unless that is None.  Anything else raises :class:`InvalidArgument`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidArgument(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidArgument(f"{name} must be at least {least}, got {value}")
+    return value
+
+
 class Partition:
     """A non-increasing sequence of positive integers, stored as its runs.
 
@@ -95,9 +102,8 @@ class Partition:
     The canonical state is the ``(value, multiplicity)`` runs with values
     strictly descending, so ``[6 2^7]`` is two runs however large its
     multiplicities.  ``_from_runs`` is the one place that puts runs in that
-    form.  Every operation in this module costs O(runs); only the
-    part-by-part views (``parts``, iteration, slicing, ``repr``) cost
-    O(length).
+    form.  Every operation in this module, ``repr`` included, costs O(runs);
+    only the part-by-part views (``parts`` and iteration) cost O(length).
     """
 
     # Runs stored flat, (v1, m1, v2, m2, ...): a tuple of pairs would take
@@ -167,14 +173,6 @@ class Partition:
     def __iter__(self) -> Iterator[int]:
         return itertools.chain.from_iterable(itertools.repeat(v, m) for v, m in self._pairs())
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self.parts[i]
-        n = len(self)
-        if not -n <= i < n:
-            raise IndexError("partition index out of range")
-        return self.part_at(i % n)
-
     def __bool__(self) -> bool:
         return bool(self._runs)
 
@@ -185,7 +183,8 @@ class Partition:
         return hash(self._runs)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self)!r})"
+        # O(runs), and unlike parse_partition not capped at _MAX_PARSED_PARTS parts.
+        return f"Partition._from_runs({self.exponents()!r})"
 
     def __str__(self) -> str:
         return self.render()
@@ -204,19 +203,10 @@ class Partition:
         """(value, multiplicity) pairs with values descending."""
         return list(self._pairs())
 
-    def multiplicity(self, value: int) -> int:
-        return next((m for v, m in self._pairs() if v == value), 0)
-
     def render(self) -> str:
         """Canonical exponent form, e.g. ``[6 2^7]``; the empty partition is ``[]``."""
         terms = [f"{v}^{m}" if m > 1 else str(v) for v, m in self._pairs()]
         return "[" + " ".join(terms) + "]"
-
-    def __add__(self, other: "Partition") -> "Partition":
-        """Part-wise sum, padding the shorter partition with zeros."""
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return Partition._from_runs((a + b, m) for (a, b), m in _segments(self, other))
 
     def transpose(self) -> "Partition":
         """Conjugate partition: column lengths of the Young diagram.
@@ -281,13 +271,6 @@ class GroupFamily(Enum):
     D = "so-even"
 
 
-class Order(Enum):
-    LESS = "Less"
-    EQUAL = "Equal"
-    GREATER = "Greater"
-    INCOMPARABLE = "Incomparable"
-
-
 _TERM = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")
 
 
@@ -317,8 +300,26 @@ def parse_partition(text: str) -> Partition:
     return Partition._from_runs(sorted(runs, reverse=True))
 
 
-def compare_lex(p: Partition, q: Partition) -> Order:
-    """Lexicographic comparison after zero-padding; a total order.
+def dominance_le(p: Partition, q: Partition) -> bool:
+    """Dominance (prefix-sum) order after zero-padding; a partial order.
+
+    ``p <= q`` when every prefix sum of p is at most the matching prefix sum
+    of q; for unequal weights this forces ``|p| <= |q|``.  Between two run
+    ends both prefix sums grow linearly, so checking them at the run ends of
+    either partition is enough, and the walk stops at the first prefix of p
+    that is larger.
+    """
+    pa = qa = 0
+    for (a, b), count in _segments(p, q):
+        pa += a * count
+        qa += b * count
+        if pa > qa:
+            return False
+    return True
+
+
+def lex_le(p: Partition, q: Partition) -> bool:
+    """Lexicographic order after zero-padding; a total order.
 
     Partitions of different weights are comparable.  The stored runs
     ``(v1, m1, v2, m2, ...)`` order exactly as the padded part sequences do:
@@ -327,43 +328,7 @@ def compare_lex(p: Partition, q: Partition) -> Order:
     padding; and a run list that is a prefix of the other is followed by
     padding alone.
     """
-    if p._runs == q._runs:
-        return Order.EQUAL
-    return Order.LESS if p._runs < q._runs else Order.GREATER
-
-
-def compare_dominance(p: Partition, q: Partition) -> Order:
-    """Dominance (prefix-sum) comparison after zero-padding; a partial order.
-
-    ``p <= q`` when every prefix sum of p is at most the matching prefix sum
-    of q; for unequal weights this forces ``|p| <= |q|``.  Between two run
-    ends both prefix sums grow linearly, so checking them at the run ends of
-    either partition is enough.
-    """
-    le = ge = True
-    pa = qa = 0
-    for (a, b), count in _segments(p, q):
-        pa += a * count
-        qa += b * count
-        if pa > qa:
-            le = False
-        elif pa < qa:
-            ge = False
-    if le and ge:
-        return Order.EQUAL
-    if le:
-        return Order.LESS
-    if ge:
-        return Order.GREATER
-    return Order.INCOMPARABLE
-
-
-def dominance_le(p: Partition, q: Partition) -> bool:
-    return compare_dominance(p, q) in (Order.LESS, Order.EQUAL)
-
-
-def lex_le(p: Partition, q: Partition) -> bool:
-    return compare_lex(p, q) in (Order.LESS, Order.EQUAL)
+    return p._runs <= q._runs
 
 
 def _collapse(p: Partition, parity: int) -> Partition:

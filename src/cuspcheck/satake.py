@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 from .engine import FieldKind
 from .errors import InvalidArgument
-from .partitions import _read_enum
+from .partitions import _read_count, _read_enum
 
 __all__ = ["ThetaBound", "satake_exponent_bound", "check_r_theta"]
 
@@ -45,8 +45,7 @@ def satake_exponent_bound(n: int, field: FieldKind = FieldKind.GENERAL) -> Theta
     inherited from the rank-2 exponent bound.
     """
     field = _read_enum(FieldKind, field)
-    if n < 1:
-        raise InvalidArgument(f"n must be at least 1, got {n}")
+    _read_count("n", n)
     if n % 2 == 0:
         return ThetaBound(Fraction(n, 2), sharp=True, source="even-sharp")
     if field is FieldKind.TOTALLY_IMAGINARY and n >= 5:
@@ -55,6 +54,14 @@ def satake_exponent_bound(n: int, field: FieldKind = FieldKind.GENERAL) -> Theta
 
 
 def check_r_theta(exponents: Iterable[Rational], theta: Rational) -> bool:
-    """True when every exponent alpha satisfies 0 <= alpha <= theta."""
-    bound = Fraction(theta)
-    return all(0 <= Fraction(a) <= bound for a in exponents)
+    """True when every exponent alpha satisfies 0 <= alpha <= theta.
+
+    Every value must be an ``int`` or a ``Fraction``: a float's binary value
+    is not the rational it was written as (0.1 > 1/10), so it raises
+    :class:`InvalidArgument`, as anything else does.
+    """
+    values = [theta, *exponents]
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            raise InvalidArgument(f"exponents and theta must be an int or a Fraction, got {v!r}")
+    return all(0 <= a <= theta for a in values[1:])

@@ -13,7 +13,7 @@ from typing import Optional
 from .arthur import ArthurParameter, SelfDualType, Triviality
 from .engine import FieldKind, _tail_weight
 from .errors import InternalInvariantViolation, InvalidArgument
-from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, _read_enum, expansion, is_grs_admissible
+from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, _read_count, _read_enum, expansion, is_grs_admissible
 
 __all__ = [
     "SmallFamily",
@@ -62,7 +62,7 @@ def grs_minimal_partition(two_n: int) -> Partition:
     The result has T/2 runs; a weight needing more runs than the cap on
     parsed partitions is rejected.
     """
-    if two_n < 2 or two_n % 2:
+    if _read_count("weight", two_n, least=None) < 2 or two_n % 2:
         raise InvalidArgument(f"weight must be even and at least 2, got {two_n}")
     root = math.isqrt(two_n)
     top = root + root % 2
@@ -85,8 +85,7 @@ def nonsingular_partition(family: GroupFamily, n: int) -> Partition:
     above this one.
     """
     family = _read_enum(GroupFamily, family)
-    if n < 1:
-        raise InvalidArgument(f"n must be at least 1, got {n}")
+    _read_count("n", n)
     e, odd = divmod(n, 2)
     if family is GroupFamily.C:
         return Partition._from_runs([(2, n)])
@@ -113,8 +112,7 @@ def conjectured_so_lower_bound(family: GroupFamily, n: int) -> Partition:
     family = _read_enum(GroupFamily, family)
     if family is GroupFamily.C:
         raise InvalidArgument("conjectured lower bound applies to families B and D only")
-    if n < 1:
-        raise InvalidArgument(f"n must be at least 1, got {n}")
+    _read_count("n", n)
     e, odd = divmod(n, 2)
     if family is GroupFamily.B:
         return Partition._from_runs([(3, e + odd), (1, e + 1 - odd)])
@@ -189,8 +187,7 @@ def hypercuspidal_existence(n: int, field: FieldKind) -> Existence:
     every other case is open here.
     """
     field = _read_enum(FieldKind, field)
-    if n < 1:
-        raise InvalidArgument(f"n must be at least 1, got {n}")
+    _read_count("n", n)
     if field is FieldKind.TOTALLY_IMAGINARY and n >= 5:
         return Existence.NONE_EXIST
     return Existence.UNKNOWN

@@ -1,5 +1,6 @@
 """The package's public names: pinned, unique, resolvable, and library-only;
-and its enum arguments, which take a member or its value and nothing else."""
+its enum arguments, which take a member or its value and nothing else; and
+its integer arguments, which take an ``int`` and nothing else."""
 
 import pytest
 
@@ -13,6 +14,8 @@ from cuspcheck import (
     InvalidPartition,
     OrderChoice,
     Partition,
+    SelfDualType,
+    SimpleParameter,
     Status,
     arthur,
     conjectured_so_lower_bound,
@@ -20,11 +23,13 @@ from cuspcheck import (
     errors,
     expansion,
     grs_max_weight,
+    grs_minimal_partition,
     hypercuspidal_existence,
     is_special,
     nonsingular_partition,
     parse_parameter,
     partitions,
+    rank_only_bound,
     satake,
     satake_exponent_bound,
     scan,
@@ -35,10 +40,10 @@ from cuspcheck import (
 PUBLIC = [
     "ArthurParameter", "Assumption", "BoundsReport", "CharacterLabel", "CuspcheckError",
     "Existence", "FamilyMatch", "FieldKind", "Firing", "GroupFamily", "InternalInvariantViolation",
-    "InvalidArgument", "InvalidPartition", "InvalidWeight", "Order", "OrderChoice",
+    "InvalidArgument", "InvalidPartition", "InvalidWeight", "OrderChoice",
     "ParameterError", "Partition", "ScanCell", "SelfDualType", "SimpleParameter", "SmallFamily",
     "Status", "ThetaBound", "Triviality", "Verdict", "barbasch_vogan_dual", "bounds",
-    "check_r_theta", "compare_dominance", "compare_lex", "conjectured_so_lower_bound",
+    "check_r_theta", "conjectured_so_lower_bound",
     "dominance_le", "expansion", "grs_max_weight", "grs_minimal_partition",
     "hypercuspidal_existence", "is_grs_admissible", "is_realizable", "is_special", "lex_le",
     "nonsingular_expansion", "nonsingular_partition", "parse_parameter", "parse_partition",
@@ -100,3 +105,23 @@ def test_enum_value_gets_the_members_checks():
     # [2^2 1^2] has even weight: not a so-odd partition, whichever way B is named.
     with pytest.raises(InvalidPartition):
         expansion(Partition([2, 2, 1, 1]), "so-odd")
+
+
+# call taking one integer argument
+INT_CALLS = {
+    "satake_exponent_bound": lambda x: satake_exponent_bound(x, TI),
+    "hypercuspidal_existence": lambda x: hypercuspidal_existence(x, TI),
+    "nonsingular_partition": lambda x: nonsingular_partition(GroupFamily.C, x),
+    "conjectured_so_lower_bound": lambda x: conjectured_so_lower_bound(GroupFamily.D, x),
+    "grs_minimal_partition": lambda x: grs_minimal_partition(x),
+    "rank_only_bound": lambda x: rank_only_bound([x, 1]),
+    "SimpleParameter-rank": lambda x: SimpleParameter("a", x, 1, SelfDualType.ORTHOGONAL),
+    "SimpleParameter-mult": lambda x: SimpleParameter("a", 2, x, SelfDualType.SYMPLECTIC),
+}
+
+
+@pytest.mark.parametrize("garbage", [2.0, True, "5"])
+@pytest.mark.parametrize("name", INT_CALLS)
+def test_integer_argument_rejects_anything_else(name, garbage):
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        INT_CALLS[name](garbage)

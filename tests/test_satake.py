@@ -59,3 +59,13 @@ class TestCheckRTheta:
 
     def test_negative_exponent_fails(self):
         assert not check_r_theta([Fraction(-1, 64)], 2)
+
+    @pytest.mark.parametrize(
+        "exponents,theta",
+        [([0.1], Fraction(1, 10)), (["abc"], 1), ([1], 2.0), ([True], 1), ([5, 0.1], 1)],
+        ids=["float-exponent", "text-exponent", "float-theta", "bool-exponent", "float-after-excess"],
+    )
+    def test_inexact_values_refused(self, exponents, theta):
+        # 0.1 as a float lies above 1/10, so comparing it could only mislead.
+        with pytest.raises(InvalidArgument):
+            check_r_theta(exponents, theta)
