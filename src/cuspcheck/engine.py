@@ -35,7 +35,6 @@ __all__ = [
     "Verdict",
     "ScanCell",
     "rank_only_bound",
-    "is_realizable",
     "grs_max_weight",
     "bounds",
     "verdict",
@@ -150,22 +149,6 @@ def rank_only_bound(ranks: Sequence[int]) -> int:
         raise InvalidArgument("rank tuple must be nonempty")
     a = sum(_read_count("rank", r) for r in ranks)
     return _tail_weight(a - a % 2)
-
-
-def is_realizable(ranks: Sequence[int], mults: Sequence[int]) -> bool:
-    """Can some choice of self-dual types make (ranks, mults) a parameter?
-
-    Needs an even rank wherever the multiplicity is even (symplectic type),
-    and an odd total size of at least 3.
-    """
-    if len(ranks) != len(mults):
-        raise InvalidArgument("ranks and mults must have equal length")
-    if any(r < 1 for r in ranks) or any(b < 1 for b in mults):
-        return False
-    if any(b % 2 == 0 and r % 2 for r, b in zip(ranks, mults)):
-        return False
-    total = sum(r * b for r, b in zip(ranks, mults))
-    return total % 2 == 1 and total >= 3
 
 
 def _tail_weight(top: int) -> int:

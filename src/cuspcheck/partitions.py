@@ -82,12 +82,12 @@ def _read_enum(kind: type[Enum], value: object) -> Enum:
         raise InvalidArgument(f"{kind.__name__} must be a member or one of {choices}, got {value!r}") from None
 
 
-def _read_count(name: str, value: object, least: int | None = 1) -> int:
+def _read_count(name: str, value: object, least: int = 1) -> int:
     """``value`` for an integer argument: an ``int``, not a ``bool``, and at least
-    ``least`` unless that is None.  Anything else raises :class:`InvalidArgument`."""
+    ``least``.  Anything else raises :class:`InvalidArgument`."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
-    if least is not None and value < least:
+    if value < least:
         raise InvalidArgument(f"{name} must be at least {least}, got {value}")
     return value
 
@@ -475,11 +475,9 @@ def is_grs_admissible(p: Partition) -> bool:
     return all(v % 2 == 0 and 1 <= m <= 4 for v, m in p.exponents())
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of ``n`` (optionally with parts <= max_part)."""
-    if n < 0:
-        raise InvalidArgument(f"cannot partition a negative integer {n}")
-    cap = n if max_part is None else min(max_part, n)
+def partitions_of(n: int) -> Iterator[Partition]:
+    """All partitions of ``n``, in lexicographically decreasing order."""
+    _read_count("n", n, least=0)
 
     def rec(remaining: int, largest: int, prefix: list[int]) -> Iterator[Partition]:
         if remaining == 0:
@@ -490,9 +488,4 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
             yield from rec(remaining - first, first, prefix)
             prefix.pop()
 
-    if n == 0:
-        yield Partition()
-        return
-    if cap <= 0:
-        return
-    yield from rec(n, cap, [])
+    yield from rec(n, n, [])

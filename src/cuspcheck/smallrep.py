@@ -62,7 +62,7 @@ def grs_minimal_partition(two_n: int) -> Partition:
     The result has T/2 runs; a weight needing more runs than the cap on
     parsed partitions is rejected.
     """
-    if _read_count("weight", two_n, least=None) < 2 or two_n % 2:
+    if _read_count("weight", two_n, least=2) % 2:
         raise InvalidArgument(f"weight must be even and at least 2, got {two_n}")
     root = math.isqrt(two_n)
     top = root + root % 2

@@ -29,6 +29,7 @@ from cuspcheck import (
     nonsingular_partition,
     parse_parameter,
     partitions,
+    partitions_of,
     rank_only_bound,
     satake,
     satake_exponent_bound,
@@ -45,7 +46,7 @@ PUBLIC = [
     "Status", "ThetaBound", "Triviality", "Verdict", "barbasch_vogan_dual", "bounds",
     "check_r_theta", "conjectured_so_lower_bound",
     "dominance_le", "expansion", "grs_max_weight", "grs_minimal_partition",
-    "hypercuspidal_existence", "is_grs_admissible", "is_realizable", "is_special", "lex_le",
+    "hypercuspidal_existence", "is_grs_admissible", "is_special", "lex_le",
     "nonsingular_expansion", "nonsingular_partition", "parse_parameter", "parse_partition",
     "partitions_of", "rank_only_bound", "render_parameter", "satake_exponent_bound", "scan",
     "small_family_match", "symplectic_collapse", "verdict",
@@ -114,6 +115,7 @@ INT_CALLS = {
     "nonsingular_partition": lambda x: nonsingular_partition(GroupFamily.C, x),
     "conjectured_so_lower_bound": lambda x: conjectured_so_lower_bound(GroupFamily.D, x),
     "grs_minimal_partition": lambda x: grs_minimal_partition(x),
+    "partitions_of": lambda x: list(partitions_of(x)),  # a generator: it checks on the first step
     "rank_only_bound": lambda x: rank_only_bound([x, 1]),
     "SimpleParameter-rank": lambda x: SimpleParameter("a", x, 1, SelfDualType.ORTHOGONAL),
     "SimpleParameter-mult": lambda x: SimpleParameter("a", 2, x, SelfDualType.SYMPLECTIC),

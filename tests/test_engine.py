@@ -14,7 +14,6 @@ from cuspcheck import (
     dominance_le,
     grs_max_weight,
     is_grs_admissible,
-    is_realizable,
     lex_le,
     parse_parameter,
     rank_only_bound,
@@ -51,21 +50,6 @@ class TestRankOnlyBound:
     def test_rank_below_one_rejected(self, ranks):
         with pytest.raises(InvalidArgument):
             rank_only_bound(ranks)
-
-
-class TestRealizable:
-    def test_examples(self):
-        assert is_realizable([5, 2], [1, 8])
-        assert not is_realizable([3, 1], [2, 1])
-        assert is_realizable([1, 2], [1, 2])
-
-    def test_total_must_be_odd_and_nontrivial(self):
-        assert not is_realizable([2], [2])
-        assert not is_realizable([1], [1])  # total 1 is below Sp(2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            is_realizable([1, 2], [1])
 
 
 class TestGrsMaxWeight:

@@ -1,12 +1,11 @@
-"""Every name a package, test or benchmark module imports is used in that module,
-every private module-level name is used somewhere in the package, every
-public name has a caller in the package unless it is kept on purpose, every
-oracle is used somewhere in the tests, only ``partitions.py`` touches
-the stored run form of a ``Partition``, and every cache in the package is
-bounded by the one constant ``_CACHE_ENTRIES``.
+"""Every name a package, test or benchmark module imports is used in that module;
+every top-level definition in the package is reached from its entry point or
+from a name kept on purpose, and every oracle from a test; only
+``partitions.py`` touches the stored run form of a ``Partition``; and every
+cache in the package is bounded by the one constant ``_CACHE_ENTRIES``.
 
 No linter ships with the test dependencies, so these are the one check for
-stale imports and dead helpers.  ``__init__.py`` is exempt from the import
+stale imports and dead code.  ``__init__.py`` is exempt from the import
 check: its star imports re-export.  Other modules build partitions through
 ``Partition._from_runs`` and read them through ``exponents()``, so the
 canonical form has one owner.
@@ -48,9 +47,8 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports("from x import a, b\nimport c.d\nb()\n") == ["line 1: a", "line 2: c"]
 
 
-def private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Private module-level functions, classes and constants, with their lines."""
-    found = {}
+def definitions(tree: ast.Module):
+    """Each top-level function, class and assigned name but a dunder, with its statement."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -60,124 +58,83 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
             names = [node.target.id]
         else:
             continue
-        found.update((name, node.lineno) for name in names if name.startswith("_") and not name.startswith("__"))
-    return found
+        yield from ((name, node) for name in names if not (name.startswith("__") and name.endswith("__")))
 
 
-def references(tree: ast.AST) -> set[str]:
-    """Names read, attributes read, and names imported ``from`` another module."""
-    refs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            refs.update(alias.name for alias in node.names)
-    return refs
-
-
-def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    refs = set().union(*(references(tree) for tree in trees.values()))
-    return [
-        f"{name} line {line}: {private}"
-        for name, tree in trees.items()
-        for private, line in private_definitions(tree).items()
-        if private not in refs
-    ]
-
-
-def test_no_dead_private_names():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert unreferenced_private_names(sources) == []
-
-
-def test_the_check_sees_a_dead_private_name():
-    sources = {
-        "a.py": "_USED = 1\n_DEAD: int = 2\ndef _helper(): return _USED\nclass _Gone: pass\n",
-        "b.py": "from a import _helper\n_helper()\n",
+def reads(tree: ast.AST) -> set[str]:
+    """Names and attributes read.  An import binds a name but reads none."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
-    assert unreferenced_private_names(sources) == ["a.py line 2: _DEAD", "a.py line 4: _Gone"]
 
 
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+def dead_definitions(sources: dict[str, str], roots: set[str]) -> list[str]:
+    """Top-level definitions in ``sources`` that no chain of reads reaches from ``roots``.
 
-
-def unreferenced_definitions(module: str, sources: dict[str, str], kinds=FUNCTIONS, names=None) -> list[str]:
-    """Top-level definitions of ``module`` of the given kinds (of ``names`` only,
-    when given) that nothing outside their own body references."""
-    body = ast.parse(sources[module]).body
-    outside = set().union(*(references(ast.parse(s)) for name, s in sources.items() if name != module))
-    return [
-        f"{module} line {node.lineno}: {node.name}"
-        for node in body
-        if isinstance(node, kinds)
-        and (names is None or node.name in names)
-        and node.name not in outside.union(*(references(other) for other in body if other is not node))
-    ]
-
-
-def test_every_oracle_is_used():
-    sources = {p.name: p.read_text(encoding="utf-8") for p in TEST_MODULES}
-    assert unreferenced_definitions("oracles.py", sources) == []
-
-
-def test_the_check_sees_an_unused_oracle():
-    sources = {
-        "o.py": "def used(): return helper()\ndef helper(): return 1\ndef recursive(): return recursive()\ndef dead(): pass\n",
-        "t.py": "import o\no.used()\n",
-    }
-    assert unreferenced_definitions("o.py", sources) == ["o.py line 3: recursive", "o.py line 4: dead"]
-
-
-def public_names(source: str) -> set[str]:
-    """The names a module's literal ``__all__`` lists; ``__init__.py`` builds its own."""
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
-            if isinstance(node.value, ast.List):
-                return {ast.literal_eval(elt) for elt in node.value.elts}
-    return set()
-
-
-def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
-    """``__all__`` names that nothing in ``sources`` references outside their own body.
-
-    ``__all__`` lists its names as strings, which are not references.
+    A class reads what its methods read.  Names are matched across modules by
+    spelling alone: a read of ``x.transpose`` keeps every top-level ``transpose`` alive.
     """
-    return [
-        line
-        for module, source in sources.items()
-        for line in unreferenced_definitions(module, sources, FUNCTIONS + (ast.ClassDef,), public_names(source))
-    ]
+    found, edges = [], {}
+    for module, source in sources.items():
+        for name, node in definitions(ast.parse(source)):
+            found.append((f"{module} line {node.lineno}: {name}", name))
+            edges.setdefault(name, set()).update(reads(node))
+    live, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in live:
+            live.add(name)
+            todo += edges.get(name, ())
+    return [line for line, name in found if name not in live]
 
 
-# Public names that nothing in the package calls, each kept on purpose.
+def dead_oracles(sources: dict[str, str]) -> list[str]:
+    """Definitions in ``oracles.py`` that nothing the other test modules read reaches."""
+    roots = set().union(*(reads(ast.parse(s)) for name, s in sources.items() if name != "oracles.py"))
+    return dead_definitions({"oracles.py": sources["oracles.py"]}, roots)
+
+
+ENTRY_POINTS = {"main"}  # cli.main: the console script and ``python -m cuspcheck``
+
+# Public names that the entry point does not reach, each kept on purpose.
 KEPT_PUBLIC = {
     "lex_le",  # the order that acceptance 7e checks
     "partitions_of",  # patched by cuspbench/tracing.py until its wrapper goes (ROADMAP items 1 and 7)
-    "is_realizable",  # the filter for the census of ROADMAP item 4
     "check_r_theta",  # the paper's R(theta) test
     "small_family_match",  # the paper's small families
 }
 
 
-def test_every_public_name_has_a_caller():
+def test_every_definition_is_reached_from_a_root():
     sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
-    assert {line.rsplit(": ", 1)[1] for line in unreferenced_public_names(sources)} == KEPT_PUBLIC
+    assert dead_definitions(sources, ENTRY_POINTS | KEPT_PUBLIC) == []
 
 
-def test_the_check_sees_a_public_name_without_a_caller():
+def test_every_kept_name_is_out_of_reach_of_the_entry_point():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    # A kept name that gains a caller must leave the list.
+    assert KEPT_PUBLIC <= {line.rsplit(": ", 1)[1] for line in dead_definitions(sources, ENTRY_POINTS)}
+
+
+def test_every_oracle_is_reached_from_a_test():
+    assert dead_oracles({p.name: p.read_text(encoding="utf-8") for p in TEST_MODULES}) == []
+
+
+def test_the_walk_sees_dead_code_that_reads_itself():
     sources = {
-        "a.py": (
-            '__all__ = ["used", "Kept", "recursive", "planted"]\n'
-            "def used(): return Kept()\nclass Kept: pass\n"
-            "def recursive(): return recursive()\ndef planted(): pass\ndef _private(): pass\n"
-        ),
-        "b.py": "from a import used\nused()\n",
-        "__init__.py": "from .a import *\n__all__ = []\n__all__ += a.__all__\n",
+        "a.py": '__all__ = ["main", "Order", "compare_lex", "compare_dominance"]\nclass Order:\n'
+        "    def flip(self): return compare_dominance(self)\ndef compare_lex(p): return Order()\n"
+        "def compare_dominance(p): return compare_lex(p)\n_DEAD = 2\ndef main(): return _helper()\n",
+        "b.py": "from a import Order\nLIMIT: int = 3\ndef _helper(): return Chain.run(LIMIT)\nclass Chain: pass\n",
     }
-    assert unreferenced_public_names(sources) == ["a.py line 4: recursive", "a.py line 5: planted"]
+    cluster = ["a.py line 2: Order", "a.py line 4: compare_lex", "a.py line 5: compare_dominance"]
+    assert dead_definitions(sources, {"main"}) == cluster + ["a.py line 6: _DEAD"]
+    oracles = "def used(): return 1\ndef outer(): return inner()\ndef inner(): return 1\n"
+    test = "import oracles\nfrom oracles import inner\ndef test_it(): assert oracles.used()\n"
+    found = dead_oracles({"oracles.py": oracles, "t.py": test})
+    assert found == ["oracles.py line 2: outer", "oracles.py line 3: inner"]
 
 
 RUN_FORM = ("_runs", "_set_runs")

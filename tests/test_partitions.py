@@ -350,9 +350,9 @@ class TestEnumeration:
             (4,),
         ]
 
-    def test_max_part(self):
-        assert all(p.part_at(0) <= 2 for p in partitions_of(6, max_part=2))
-        assert sum(1 for _ in partitions_of(6, max_part=2)) == 4
+    def test_negative_rejected(self):
+        with pytest.raises(InvalidArgument, match="n must be at least 0, got -1"):
+            list(partitions_of(-1))
 
 
 class TestParseRender:
