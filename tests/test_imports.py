@@ -122,15 +122,26 @@ def test_every_oracle_is_reached_from_a_test():
     assert dead_oracles({p.name: p.read_text(encoding="utf-8") for p in TEST_MODULES}) == []
 
 
-def test_the_walk_sees_dead_code_that_reads_itself():
+def test_the_check_sees_a_dead_private_name():
+    sources = {
+        "a.py": "_DEAD = 2\ndef _loop(): return _LOOP\n_LOOP: int = _loop()\ndef main(): return _helper()\n",
+        "b.py": "from a import main\nLIMIT: int = 3\ndef _helper(): return Chain.run(LIMIT)\nclass Chain: pass\n",
+    }
+    assert dead_definitions(sources, {"main"}) == ["a.py line 1: _DEAD", "a.py line 2: _loop", "a.py line 3: _LOOP"]
+
+
+def test_the_check_sees_a_public_name_without_a_caller():
     sources = {
         "a.py": '__all__ = ["main", "Order", "compare_lex", "compare_dominance"]\nclass Order:\n'
         "    def flip(self): return compare_dominance(self)\ndef compare_lex(p): return Order()\n"
-        "def compare_dominance(p): return compare_lex(p)\n_DEAD = 2\ndef main(): return _helper()\n",
-        "b.py": "from a import Order\nLIMIT: int = 3\ndef _helper(): return Chain.run(LIMIT)\nclass Chain: pass\n",
+        "def compare_dominance(p): return compare_lex(p)\ndef main(): return Kept()\nclass Kept: pass\n",
+        "b.py": "from a import Order\n",
     }
     cluster = ["a.py line 2: Order", "a.py line 4: compare_lex", "a.py line 5: compare_dominance"]
-    assert dead_definitions(sources, {"main"}) == cluster + ["a.py line 6: _DEAD"]
+    assert dead_definitions(sources, {"main"}) == cluster
+
+
+def test_the_check_sees_an_unused_oracle():
     oracles = "def used(): return 1\ndef outer(): return inner()\ndef inner(): return 1\n"
     test = "import oracles\nfrom oracles import inner\ndef test_it(): assert oracles.used()\n"
     found = dead_oracles({"oracles.py": oracles, "t.py": test})
