@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import InvalidArgument, ParameterError
-from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_int, barbasch_vogan_dual
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_int, _read_text, barbasch_vogan_dual
 
 __all__ = [
     "SelfDualType",
@@ -240,7 +240,7 @@ def parse_parameter(text: str) -> ArthurParameter:
     tau1, tau2, ...  For rank-1 summands the label names the character
     itself; label ``1`` means the trivial character.
     """
-    pieces = [piece.strip() for piece in text.strip().split("+")]
+    pieces = [piece.strip() for piece in _read_text("parameter text", text).strip().split("+")]
     if pieces == [""]:
         raise InvalidArgument("empty parameter string")
     return ArthurParameter([_parse_summand(piece, idx) for idx, piece in enumerate(pieces, start=1)])

@@ -313,6 +313,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # Inside the try: ``--n`` raises InvalidArgument for an over-long integer.
         args = parser.parse_args(argv)
         rendered = args.run(args)
+    except SystemExit as exc:  # argparse exits after --help and after a usage error
+        return exc.code
     except InternalInvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, is_grs_admissible
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_text, is_grs_admissible
 
 __all__ = [
     "FieldKind",
@@ -195,9 +195,10 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
 
     Dynamic program over even values taken in descending order.  Because the
     prefix sums of eta are concave and a run of equal parts adds linearly,
-    dominance only needs checking at the end of each run.  States are
-    (parts placed, weight placed); for each state the lexicographically
-    largest multiplicity history is kept so the witness tie-break is exact.
+    dominance only needs checking at the end of each run.  A state (parts
+    placed, weight placed) keeps the first history written to it: each stage
+    walks its states in write order, most copies first, so histories arrive
+    in decreasing lexicographic order and the first heaviest is the witness.
     """
     values = range(eta.part_at(0) // 2 * 2, 0, -2)
     # prefix[c]: weight of eta's first c parts, zero-padded to every count the
@@ -208,17 +209,12 @@ def _max_grs_dominated(eta: Partition) -> tuple[int, Partition]:
     for v in values:
         nxt: dict[tuple[int, int], tuple[int, ...]] = {}
         for (c, w), hist in states.items():
-            for m in range(5):
-                c2, w2 = c + m, w + m * v
-                if m and w2 > prefix[c2]:
-                    break  # the deficit only grows with larger m
-                # Histories at one stage have equal length, so any beats ().
-                h2 = hist + (m,)
-                if h2 > nxt.get((c2, w2), ()):
-                    nxt[c2, w2] = h2
+            for m in range(4, -1, -1):  # most copies first
+                if w + m * v <= prefix[c + m]:
+                    nxt.setdefault((c + m, w + m * v), hist + (m,))
         states = nxt
-    best_weight, best_hist = max((w, h) for (_, w), h in states.items())
-    return best_weight, Partition._from_runs(zip(values, best_hist))
+    (_, weight), hist = max(states.items(), key=lambda state: state[0][1])  # the first heaviest
+    return weight, Partition._from_runs(zip(values, hist))
 
 
 def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
@@ -370,7 +366,7 @@ def scan(
     names = [name for name, _ in ranges]
     if len(set(names)) != len(names):
         raise InvalidArgument("duplicate slot name in ranges")
-    compiled = Template(template)
+    compiled = Template(_read_text("template", template))
     slots = _template_slots(compiled)
     if slots != set(names):
         raise InvalidArgument(

@@ -38,9 +38,10 @@ __all__ = [
 ]
 
 # Entries in each of the package's caches.  A corpus pass of 10,000 random
-# parameters has fewer than 3,000 distinct shapes, so all of them stay cached;
-# a scan over 100,000 distinct shapes, where nothing hits, holds no more.
-_CACHE_ENTRIES = 16_384
+# parameters has fewer than 2,900 distinct attached partitions and as many
+# duals, so all of them stay cached; a scan over 100,000 distinct shapes,
+# where nothing hits, holds no more than this many.
+_CACHE_ENTRIES = 4_096
 
 # Guard against absurd exponents in parsed input ("2^99999999").
 _MAX_PARSED_PARTS = 100_000
@@ -89,6 +90,13 @@ def _read_count(name: str, value: object, least: int = 1) -> int:
         raise InvalidArgument(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise InvalidArgument(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def _read_text(name: str, value: object, error: type[CuspcheckError] = InvalidArgument) -> str:
+    """``value`` for a text argument: a ``str``.  Anything else raises ``error``."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {type(value).__name__}")
     return value
 
 
@@ -281,7 +289,7 @@ def parse_partition(text: str) -> Partition:
     optional surrounding brackets.  Entries need not be sorted.  The cost is
     O(terms): each term is kept as one run, never expanded into its parts.
     """
-    s = text.strip()
+    s = _read_text("partition text", text, InvalidPartition).strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
     tokens = s.replace(",", " ").split()

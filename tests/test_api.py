@@ -1,6 +1,7 @@
 """The package's public names: pinned, unique, resolvable, and library-only;
-its enum arguments, which take a member or its value and nothing else; and
-its integer arguments, which take an ``int`` and nothing else."""
+its enum arguments, which take a member or its value and nothing else; its
+integer arguments, which take an ``int`` and nothing else; and its text
+arguments, which take a ``str`` and nothing else."""
 
 import pytest
 
@@ -28,6 +29,7 @@ from cuspcheck import (
     is_special,
     nonsingular_partition,
     parse_parameter,
+    parse_partition,
     partitions,
     partitions_of,
     rank_only_bound,
@@ -127,3 +129,19 @@ INT_CALLS = {
 def test_integer_argument_rejects_anything_else(name, garbage):
     with pytest.raises(InvalidArgument, match="must be an integer"):
         INT_CALLS[name](garbage)
+
+
+# (call taking one text argument, the error it raises for anything else)
+TEXT_CALLS = {
+    "parse_partition": (parse_partition, InvalidPartition),
+    "parse_parameter": (parse_parameter, InvalidArgument),
+    "scan-template": (lambda x: scan(x, [("b", range(1, 3))]), InvalidArgument),
+}
+
+
+@pytest.mark.parametrize("garbage", [None, 5, b"(1c,3)"], ids=["none", "int", "bytes"])
+@pytest.mark.parametrize("name", TEXT_CALLS)
+def test_text_argument_rejects_anything_else(name, garbage):
+    call, error = TEXT_CALLS[name]
+    with pytest.raises(error, match="must be a string"):
+        call(garbage)

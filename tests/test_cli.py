@@ -322,11 +322,8 @@ class TestIntegerGrammar:
         ids=["satake-underscore", "small-unicode"],
     )
     def test_n_rejects_what_other_integers_reject(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and f"argument --n: invalid int value: {argv[-1]!r}" in captured.err
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"argument --n: invalid int value: {argv[-1]!r}" in err
 
     @pytest.mark.parametrize("verb", [("satake",), ("small", "--group", "sp")], ids=["satake", "small"])
     def test_overlong_n_is_input_error(self, capsys, verb):
@@ -341,19 +338,13 @@ class TestIntegerGrammar:
 
 class TestHarness:
     def test_unknown_verb_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        assert main(["frobnicate"]) == 2
 
     def test_unknown_flag_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["dual", "7 2^2", "--bogus"])
-        assert exc.value.code == 2
+        assert main(["dual", "7 2^2", "--bogus"]) == 2
 
     def test_csv_rejected_outside_scan(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", "(1c,7)+(2s,2)", "--format", "csv"])
-        assert exc.value.code == 2
+        assert main(["analyze", "(1c,7)+(2s,2)", "--format", "csv"]) == 2
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.txt"

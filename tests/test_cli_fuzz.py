@@ -6,9 +6,9 @@ exponents 0..60 (and one 2,001-digit literal), parameters with ranks 0..12
 and multiplicities 0..15, labels mixing allowed and forbidden characters,
 ``scan`` templates with a ``$b`` slot over at most 30 cells, and ``--n``
 from -3 to 10**6 plus text the integer grammar refuses.  Each runs in
-process through ``cli.main``; argparse's ``SystemExit`` counts as its exit
-code.  The same draws also require ``main``'s one-verb parser to print the
-bytes the full parser prints.  ``--out`` is left out: it writes files.
+process through ``cli.main``.  The same draws also require ``main``'s
+one-verb parser to print the bytes the full parser prints.  ``--out`` is
+left out: it writes files.
 
 Parameters stay small on purpose: the ``N2`` dominance DP still walks every
 even value below the dual partition's first part, so a parameter whose
@@ -128,10 +128,7 @@ ARGV = st.one_of(
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -44,10 +44,7 @@ pytestmark = pytest.mark.skipif(
 def invoke(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # --help and usage errors
-            code = exc.code
+        code = main(argv)
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
