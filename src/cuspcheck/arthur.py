@@ -74,7 +74,7 @@ class SimpleParameter:
     central_char: CharacterLabel = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not _LABEL.fullmatch(self.label):
+        if not _LABEL.fullmatch(_read_text("summand label", self.label)):
             raise InvalidArgument(
                 f"summand label must be nonempty, without whitespace, ',', '(', ')' or '+', got {self.label!r}"
             )

@@ -136,6 +136,7 @@ TEXT_CALLS = {
     "parse_partition": (parse_partition, InvalidPartition),
     "parse_parameter": (parse_parameter, InvalidArgument),
     "scan-template": (lambda x: scan(x, [("b", range(1, 3))]), InvalidArgument),
+    "SimpleParameter-label": (lambda x: SimpleParameter(x, 1, 1, SelfDualType.ORTHOGONAL), InvalidArgument),
 }
 
 
