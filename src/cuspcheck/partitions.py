@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 # Entries in each of the package's caches.  A corpus pass of 10,000 random
-# parameters has fewer than 2,900 distinct attached partitions and as many
-# duals, so all of them stay cached; a scan over 100,000 distinct shapes,
+# parameters has fewer than 2,900 distinct attached partitions, so no more
+# duals, and all of them stay cached; a scan over 100,000 distinct shapes,
 # where nothing hits, holds no more than this many.
 _CACHE_ENTRIES = 4_096
 
