@@ -246,27 +246,6 @@ class Partition:
         return all(m % 2 == 0 for v, m in self._pairs() if v % 2 == 0)
 
 
-def _segments(p: Partition, q: Partition) -> Iterator[tuple[tuple[int, int], int]]:
-    """Walk two run lists side by side, zero-padding the shorter.
-
-    Yields ``((a, b), count)``: the next ``count`` positions hold part ``a``
-    of p and ``b`` of q.  Segments end at every run end of either list.
-    """
-    # An exhausted list reads as an endless run of zeros.
-    pad = (0, math.inf)
-    p_runs, q_runs = p._pairs(), q._pairs()
-    (a, left_a), (b, left_b) = next(p_runs, pad), next(q_runs, pad)
-    while a or b:
-        step = min(left_a, left_b)
-        yield (a, b), step
-        left_a -= step
-        left_b -= step
-        if not left_a:
-            a, left_a = next(p_runs, pad)
-        if not left_b:
-            b, left_b = next(q_runs, pad)
-
-
 class GroupFamily(Enum):
     """Which parity condition cuts out the admissible partitions.
 
@@ -312,15 +291,23 @@ def dominance_le(p: Partition, q: Partition) -> bool:
     """Dominance (prefix-sum) order after zero-padding; a partial order.
 
     ``p <= q`` when every prefix sum of p is at most the matching prefix sum
-    of q; for unequal weights this forces ``|p| <= |q|``.  Between two run
-    ends both prefix sums grow linearly, so checking them at the run ends of
-    either partition is enough, and the walk stops at the first prefix of p
-    that is larger.
+    of q; for unequal weights this forces ``|p| <= |q|``.  Checking at the
+    run ends of p is enough.  Between two of them p's prefix sums grow
+    linearly, while q's are concave, since its parts do not increase, zero
+    padding included: a chord below q at both ends stays below q in between.
+    Past p's last run end, p's sums stay constant and q's do not fall.
     """
+    q_runs = q._pairs()
+    b, left = next(q_runs, (0, math.inf))  # q's current part, and its positions left
     pa = qa = 0
-    for (a, b), count in _segments(p, q):
+    for a, count in p._pairs():
         pa += a * count
+        while count >= left:  # move q's cursor count positions on
+            qa += b * left
+            count -= left
+            b, left = next(q_runs, (0, math.inf))
         qa += b * count
+        left -= count
         if pa > qa:
             return False
     return True

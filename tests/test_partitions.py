@@ -219,6 +219,10 @@ class TestOrders:
         assert relation(dominance_le, P([3, 3, 1, 1, 1, 1]), P([2, 2, 2, 2, 2])) == "Incomparable"
         assert relation(dominance_le, P([4, 4, 2, 2, 2, 2]), P([6, 2, 2, 2, 2, 2, 2, 2])) == "Less"
         assert relation(dominance_le, P([2, 2]), P([2, 2])) == "Equal"
+        # Multiplicities of 10^9: the walk goes over runs, never over parts.
+        ones = P._from_runs([(1, 10**9)])
+        assert relation(dominance_le, ones, P._from_runs([(2, 5 * 10**8)])) == "Less"
+        assert relation(dominance_le, ones, P._from_runs([(3, 10**8), (1, 7 * 10**8)])) == "Less"
 
     def test_unequal_weights(self):
         # Dominance across weights forces |p| <= |q|.
@@ -227,7 +231,7 @@ class TestOrders:
         assert relation(lex_le, P([2]), P([2, 1])) == "Less"
 
     def test_against_naive(self):
-        pool = list(all_upto(8))
+        pool = list(all_upto(10))
         for p in pool:
             for q in pool:
                 assert dominance_le(p, q) == oracles.naive_dominance_le(p, q)
