@@ -10,13 +10,13 @@ those data alone.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 from .errors import InvalidArgument, ParameterError
-from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_int, _read_text, barbasch_vogan_dual
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_instance, _read_int, barbasch_vogan_dual
 
 __all__ = [
     "SelfDualType",
@@ -46,21 +46,24 @@ class Triviality(Enum):
 
 @dataclass(frozen=True)
 class CharacterLabel:
-    """A named quadratic character with three-valued triviality."""
+    """A named quadratic character with three-valued triviality, a member of
+    :class:`Triviality` or its value."""
 
     name: str
     triviality: Triviality = Triviality.UNKNOWN
 
     def __post_init__(self):
-        if not self.name:
+        if not _read_instance("character label name", self.name, str):
             raise InvalidArgument("character label name must be nonempty")
+        object.__setattr__(self, "triviality", _read_enum(Triviality, self.triviality))
 
 
 @dataclass(frozen=True)
 class SimpleParameter:
     """One summand (tau, b): rank, multiplicity, type and central character.
 
-    The constructor only checks basic ranges; the parity rules between rank,
+    The constructor checks each field's type and basic ranges, and reads
+    ``dual_type`` as a member or its value; the parity rules between rank,
     multiplicity and type are enforced by :class:`ArthurParameter`, which
     reports every violation at once.  Without ``central_char``, a rank-1
     summand is its own character (label ``1`` is the trivial one) and any
@@ -74,12 +77,13 @@ class SimpleParameter:
     central_char: CharacterLabel = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not _LABEL.fullmatch(_read_text("summand label", self.label)):
+        if not _LABEL.fullmatch(_read_instance("summand label", self.label, str)):
             raise InvalidArgument(
                 f"summand label must be nonempty, without whitespace, ',', '(', ')' or '+', got {self.label!r}"
             )
         _read_count("rank", self.rank)
         _read_count("multiplicity", self.mult)
+        object.__setattr__(self, "dual_type", _read_enum(SelfDualType, self.dual_type))
         if self.central_char is None:
             if self.rank == 1:
                 triv = Triviality.TRIVIAL if self.label == "1" else Triviality.UNKNOWN
@@ -87,6 +91,8 @@ class SimpleParameter:
             else:
                 char = CharacterLabel(f"w({self.label})")
             object.__setattr__(self, "central_char", char)
+        else:
+            _read_instance("central character", self.central_char, CharacterLabel)
 
     @property
     def size(self) -> int:
@@ -169,7 +175,9 @@ class ArthurParameter:
     _eta: Partition = field(init=False, compare=False)
 
     def __post_init__(self):
-        summands = tuple(self.summands)
+        summands = tuple(_read_instance("summands", self.summands, Iterable))
+        for s in summands:
+            _read_instance("summand", s, SimpleParameter)
         if not summands:
             raise ParameterError([("not-odd-weight", "parameter needs at least one summand")])
         issues = _validation_issues(summands)
@@ -240,7 +248,7 @@ def parse_parameter(text: str) -> ArthurParameter:
     tau1, tau2, ...  For rank-1 summands the label names the character
     itself; label ``1`` means the trivial character.
     """
-    pieces = [piece.strip() for piece in _read_text("parameter text", text).strip().split("+")]
+    pieces = [piece.strip() for piece in _read_instance("parameter text", text, str).strip().split("+")]
     if pieces == [""]:
         raise InvalidArgument("empty parameter string")
     return ArthurParameter([_parse_summand(piece, idx) for idx, piece in enumerate(pieces, start=1)])

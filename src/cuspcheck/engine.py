@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from string import Template
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional
 
 from .arthur import ArthurParameter, parse_parameter
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_text, is_grs_admissible
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_instance, is_grs_admissible
 
 __all__ = [
     "FieldKind",
@@ -225,6 +226,7 @@ def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
     largest witness.  An empty feasible set can only mean the empty
     partition, reported as (0, []).
     """
+    _read_instance("eta", eta, Partition)
     order = _read_enum(OrderChoice, order)
     if not eta.is_symplectic():
         raise InvalidArgument(f"expected a symplectic partition, got {eta}")
@@ -235,6 +237,7 @@ def grs_max_weight(eta: Partition, order: OrderChoice) -> tuple[int, Partition]:
 
 def bounds(psi: ArthurParameter) -> BoundsReport:
     """The bound triple for a parameter, with maximizer witnesses."""
+    _read_instance("parameter", psi, ArthurParameter)
     n_a = rank_only_bound(psi.ranks())
     eta = psi.dual_partition()
     n1, w1 = grs_max_weight(eta, OrderChoice.LEX)
@@ -289,6 +292,7 @@ def verdict(
     upgraded to ContainsCuspidal except the proved generic case.  ``field``
     and each assumption are members or their values.
     """
+    _read_instance("parameter", psi, ArthurParameter)
     field = _read_enum(FieldKind, field)
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
     report = bounds(psi)
@@ -356,24 +360,25 @@ def scan(
     ``ranges`` is an ordered list of (slot name, values); the grid is walked
     row-major in that order.  Cells whose instantiation fails validation are
     reported with status Invalid rather than dropped.  The template, the
-    slot names and the grid size are checked when ``scan`` is called; a grid
-    of more than ``_MAX_SCAN_CELLS`` cells is rejected before any cell is
-    built.  Each cell is evaluated only when the returned iterator reaches
-    it, so a caller that streams the cells never holds the whole grid.
+    ranges, the slot names and the grid size are checked when ``scan`` is
+    called; a grid of more than ``_MAX_SCAN_CELLS`` cells is rejected before
+    any cell is built.  Each cell is evaluated only when the returned
+    iterator reaches it, so a caller that streams the cells never holds the
+    whole grid.
     """
     field = _read_enum(FieldKind, field)
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
-    names = [name for name, _ in ranges]
+    names = [_read_instance("slot name", name, str) for name, _ in _read_instance("ranges", ranges, Sequence)]
     if len(set(names)) != len(names):
         raise InvalidArgument("duplicate slot name in ranges")
-    compiled = Template(_read_text("template", template))
+    compiled = Template(_read_instance("template", template, str))
     slots = _template_slots(compiled)
     if slots != set(names):
         raise InvalidArgument(
             f"template slots {sorted(slots)} do not match range names {sorted(names)}"
         )
     try:
-        cells = math.prod(len(vals) for _, vals in ranges)
+        cells = math.prod(len(_read_instance(f"range of {name}", vals, Sequence)) for name, vals in ranges)
     except OverflowError:  # len() of a range longer than sys.maxsize
         cells = math.inf
     if cells > _MAX_SCAN_CELLS:

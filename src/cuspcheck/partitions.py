@@ -93,10 +93,14 @@ def _read_count(name: str, value: object, least: int = 1) -> int:
     return value
 
 
-def _read_text(name: str, value: object, error: type[CuspcheckError] = InvalidArgument) -> str:
-    """``value`` for a text argument: a ``str``.  Anything else raises ``error``."""
-    if not isinstance(value, str):
-        raise error(f"{name} must be a string, got {type(value).__name__}")
+def _read_instance(name: str, value: object, kind: type, error: type[CuspcheckError] = InvalidArgument):
+    """``value`` for an argument of type ``kind``, a ``str`` for text.
+    Anything else raises ``error``, so a wrong type cannot escape as an
+    ``AttributeError`` or a ``TypeError`` further in."""
+    if not isinstance(value, kind):
+        what = "string" if kind is str else kind.__name__
+        article = "an" if what[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {what}, got {type(value).__name__}")
     return value
 
 
@@ -268,7 +272,7 @@ def parse_partition(text: str) -> Partition:
     optional surrounding brackets.  Entries need not be sorted.  The cost is
     O(terms): each term is kept as one run, never expanded into its parts.
     """
-    s = _read_text("partition text", text, InvalidPartition).strip()
+    s = _read_instance("partition text", text, str, InvalidPartition).strip()
     if s.startswith("[") and s.endswith("]"):
         s = s[1:-1]
     tokens = s.replace(",", " ").split()

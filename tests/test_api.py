@@ -1,14 +1,17 @@
 """The package's public names: pinned, unique, resolvable, and library-only;
 its enum arguments, which take a member or its value and nothing else; its
-integer arguments, which take an ``int`` and nothing else; and its text
-arguments, which take a ``str`` and nothing else."""
+integer arguments, which take an ``int`` and nothing else; its text
+arguments, which take a ``str`` and nothing else; and its object arguments,
+which take an instance of their class and nothing else."""
 
 import pytest
 
 import cuspcheck
 import cuspcheck.cli
 from cuspcheck import (
+    ArthurParameter,
     Assumption,
+    CharacterLabel,
     FieldKind,
     GroupFamily,
     InvalidArgument,
@@ -18,7 +21,9 @@ from cuspcheck import (
     SelfDualType,
     SimpleParameter,
     Status,
+    Triviality,
     arthur,
+    bounds,
     conjectured_so_lower_bound,
     engine,
     errors,
@@ -87,6 +92,12 @@ ENUM_CALLS = {
     "conjectured_so_lower_bound": (lambda x: conjectured_so_lower_bound(x, 5), GroupFamily.B),
     "is_special": (lambda x: is_special(Partition([3, 1, 1]), x), GroupFamily.B),
     "expansion": (lambda x: expansion(Partition([2, 2, 1]), x), GroupFamily.B),
+    "SimpleParameter-dual_type": (lambda x: SimpleParameter("b", 2, 2, x), SelfDualType.SYMPLECTIC),
+    # The warning needs the member: a triviality kept as text went unnoticed.
+    "CharacterLabel-triviality": (
+        lambda x: ArthurParameter([SimpleParameter("a", 1, 3, SelfDualType.ORTHOGONAL, CharacterLabel("x", x))]).warnings,
+        Triviality.NONTRIVIAL,
+    ),
 }
 
 
@@ -137,6 +148,8 @@ TEXT_CALLS = {
     "parse_parameter": (parse_parameter, InvalidArgument),
     "scan-template": (lambda x: scan(x, [("b", range(1, 3))]), InvalidArgument),
     "SimpleParameter-label": (lambda x: SimpleParameter(x, 1, 1, SelfDualType.ORTHOGONAL), InvalidArgument),
+    "scan-slot-name": (lambda x: scan("(1c,$b)", [("b", [1]), (x, [1])]), InvalidArgument),
+    "CharacterLabel-name": (CharacterLabel, InvalidArgument),
 }
 
 
@@ -146,3 +159,22 @@ def test_text_argument_rejects_anything_else(name, garbage):
     call, error = TEXT_CALLS[name]
     with pytest.raises(error, match="must be a string"):
         call(garbage)
+
+
+# A call passing an object argument of the wrong class, one per argument.
+OBJECT_CALLS = {
+    "verdict": lambda: verdict("(1c,3)"),
+    "bounds": lambda: bounds(None),
+    "grs_max_weight": lambda: grs_max_weight([4, 2], "lex"),
+    "ArthurParameter-summands": lambda: ArthurParameter(None),
+    "ArthurParameter-summand": lambda: ArthurParameter("(1c,3)"),
+    "SimpleParameter-central_char": lambda: SimpleParameter("a", 1, 3, SelfDualType.ORTHOGONAL, "chi"),
+    "scan-ranges": lambda: scan("(1c,$b)", None),
+    "scan-range": lambda: scan("(1c,$b)", [("b", 5)]),
+}
+
+
+@pytest.mark.parametrize("name", OBJECT_CALLS)
+def test_object_argument_rejects_another_class(name):
+    with pytest.raises(InvalidArgument, match=r"must be an? [A-Z]\w+, got "):
+        OBJECT_CALLS[name]()

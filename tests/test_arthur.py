@@ -236,6 +236,10 @@ class TestLabels:
         psi = ArthurParameter([tau, SimpleParameter("x", 1, 1, ORTH)])
         assert parse_parameter(render_parameter(psi)) == psi
 
+    def test_empty_character_name_rejected(self):
+        with pytest.raises(InvalidArgument, match="character label name must be nonempty"):
+            CharacterLabel("")
+
     def test_label_with_colon_round_trips(self):
         psi = ArthurParameter([SimpleParameter("a:b", 2, 2, SYMP), SimpleParameter("1", 1, 1, ORTH)])
         assert render_parameter(psi) == "(2s:a:b,2)+(1c:1,1)"

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from cuspcheck import Firing, Status, engine
 from cuspcheck.cli import main
 
 FIGURE1 = [
@@ -342,6 +343,21 @@ class TestHarness:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["dual", "7 2^2", "--bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", "(1c,3)"], ["scan", "--template", "(1c,$b)", "--range", "b=3:5:2"]], ids=["analyze", "scan"]
+    )
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch, argv):
+        # Two unconditional firings that contradict each other; a scan cell
+        # passes the violation on instead of reporting the cell Invalid.
+        contradiction = (
+            Firing("R1", "generic", Status.CONTAINS_CUSPIDAL),
+            Firing("R2", "kudla-rallis", Status.NO_CUSPIDAL),
+        )
+        monkeypatch.setattr(engine, "_evaluate_rules", lambda *args: contradiction)
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("internal invariant violation: ")
 
     def test_csv_rejected_outside_scan(self, capsys):
         assert main(["analyze", "(1c,7)+(2s,2)", "--format", "csv"]) == 2

@@ -249,6 +249,10 @@ class TestScan:
         with pytest.raises(InvalidArgument):
             scan("(1c,$b)+(2s,2)", [("b", [1]), ("x", [1])])
 
+    def test_duplicate_slot_name_rejected(self):
+        with pytest.raises(InvalidArgument, match="duplicate slot name"):
+            scan("(1c,$b)+(2s,2)", [("b", [1]), ("b", [3])])
+
     def test_malformed_template_rejected(self):
         for bad in ["(1c,$1)+(2s,$b)", "(1c,$b)+(2s,2)$", "(1c,${b)+(2s,2)"]:
             with pytest.raises(InvalidArgument, match="malformed placeholder"):
