@@ -94,7 +94,7 @@ def _read_count(name: str, value: object, least: int = 1) -> int:
 
 
 def _read_instance(name: str, value: object, kind: type, error: type[CuspcheckError] = InvalidArgument):
-    """``value`` for an argument of type ``kind``, a ``str`` for text.
+    """``value`` for an argument that must be a ``kind`` (``str`` for text).
     Anything else raises ``error``, so a wrong type cannot escape as an
     ``AttributeError`` or a ``TypeError`` further in."""
     if not isinstance(value, kind):

@@ -93,7 +93,7 @@ ENUM_CALLS = {
     "is_special": (lambda x: is_special(Partition([3, 1, 1]), x), GroupFamily.B),
     "expansion": (lambda x: expansion(Partition([2, 2, 1]), x), GroupFamily.B),
     "SimpleParameter-dual_type": (lambda x: SimpleParameter("b", 2, 2, x), SelfDualType.SYMPLECTIC),
-    # The warning needs the member: a triviality kept as text went unnoticed.
+    # Through the warning, which compares the triviality with the member.
     "CharacterLabel-triviality": (
         lambda x: ArthurParameter([SimpleParameter("a", 1, 3, SelfDualType.ORTHOGONAL, CharacterLabel("x", x))]).warnings,
         Triviality.NONTRIVIAL,
