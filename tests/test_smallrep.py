@@ -1,13 +1,20 @@
+import collections
+import hashlib
+
 import pytest
 
 import cuspcheck.partitions
 from cuspcheck import (
+    ArthurParameter,
+    CharacterLabel,
     Existence,
     FieldKind,
     GroupFamily,
     InvalidArgument,
     Partition,
+    SimpleParameter,
     SmallFamily,
+    Triviality,
     conjectured_so_lower_bound,
     dominance_le,
     grs_minimal_partition,
@@ -156,6 +163,33 @@ class TestConjecturedLowerBound:
             conjectured_so_lower_bound(GroupFamily.D, 1)
 
 
+def _summand(label, rank, mult, triviality):
+    """A summand of the type its multiplicity allows; ``triviality`` None keeps
+    the default character (label ``1`` trivial, anything else unknown)."""
+    char = None if triviality is None else CharacterLabel(label, triviality)
+    return SimpleParameter(label, rank, mult, "symplectic" if mult % 2 == 0 else "orthogonal", char)
+
+
+def _family_grid():
+    """Every ``(1,b)+(2,m)`` with odd b < 40 and m < 40 in both orders, rank-1
+    labels ``1`` and ``x``; every ``(3o,b)`` with b < 100; each with four
+    central characters; then every ``oracles.shape_domain()`` parameter."""
+    characters = [None, *Triviality]
+    for b in range(1, 40, 2):
+        for m in range(1, 40):
+            t = _summand("t", 2, m, None)
+            for label in ("1", "x"):
+                for triviality in characters:
+                    c = _summand(label, 1, b, triviality)
+                    yield ArthurParameter([c, t])
+                    yield ArthurParameter([t, c])
+    for b in range(1, 100, 2):
+        for triviality in characters:
+            yield ArthurParameter([_summand("t", 3, b, triviality)])
+    for pairs in oracles.shape_domain():
+        yield oracles.build_parameter(pairs)
+
+
 class TestSmallFamilyMatch:
     def test_saito_kurokawa_even(self):
         m = small_family_match(parse_parameter("(2s,4)+(1c,1)"))
@@ -217,6 +251,24 @@ class TestSmallFamilyMatch:
             ]
         )
         assert small_family_match(psi).family is SmallFamily.NONE
+
+    def test_pinned_over_the_grid(self):
+        """The family and claimed partition of every grid parameter, as counts
+        and as one SHA-256 over the line ``f"{psi} {family} {claimed_pm}"`` of
+        each parameter in order."""
+        counts = collections.Counter()
+        h = hashlib.sha256()
+        for psi in _family_grid():
+            m = small_family_match(psi)
+            counts[m.family] += 1
+            h.update(f"{psi} {m.family.value} {m.claimed_pm}\n".encode())
+        assert counts == {
+            SmallFamily.NONE: 14_964,
+            SmallFamily.SAITO_KUROKAWA_EVEN: 1_859,
+            SmallFamily.SAITO_KUROKAWA_ODD: 2_475,
+            SmallFamily.RANK3_TOWER: 151,
+        }
+        assert h.hexdigest() == "90e5b98147cd5fbbbfb89f59eea0e8c49f24e900b31f028ec2796c839803e7b9"
 
 
 class TestHypercuspidal:
