@@ -13,7 +13,8 @@ from typing import Optional
 from .arthur import ArthurParameter, SelfDualType, Triviality
 from .engine import FieldKind, _tail_weight
 from .errors import InternalInvariantViolation, InvalidArgument
-from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, _read_count, _read_enum, expansion, is_grs_admissible
+from .partitions import _MAX_PARSED_PARTS, GroupFamily, Partition, _read_count, _read_enum, _read_instance
+from .partitions import expansion, is_grs_admissible
 
 __all__ = [
     "SmallFamily",
@@ -123,14 +124,6 @@ def conjectured_so_lower_bound(family: GroupFamily, n: int) -> Partition:
     return Partition._from_runs([(3, e), (1, e)])
 
 
-def _assert_small_eta(psi: ArthurParameter) -> None:
-    eta = psi.dual_partition()
-    if eta.part_at(0) > 3:
-        raise InternalInvariantViolation(
-            f"matched a small family but the dual partition {eta} has a part above 3"
-        )
-
-
 def small_family_match(psi: ArthurParameter) -> FamilyMatch:
     """Recognize the three parameter families with known smallest members.
 
@@ -140,44 +133,30 @@ def small_family_match(psi: ArthurParameter) -> FamilyMatch:
     so only an explicitly nontrivial character disqualifies where triviality
     is required.  Generic parameters never match.
     """
-    none = FamilyMatch(SmallFamily.NONE, None)
-    if psi.is_generic():
-        return none
-    n = psi.n
-    claimed_pm = nonsingular_partition(GroupFamily.C, n)
-    summands = psi.summands
-
-    if len(summands) == 2:
-        rank2 = [s for s in summands if s.rank == 2]
-        rank1 = [s for s in summands if s.rank == 1]
-        if len(rank2) == 1 and len(rank1) == 1:
-            t, c = rank2[0], rank1[0]
-            if (
-                t.dual_type is SelfDualType.SYMPLECTIC
-                and n % 2 == 0
-                and n // 2 <= t.mult <= n
-                and c.central_char.triviality is not Triviality.NONTRIVIAL
-            ):
-                _assert_small_eta(psi)
-                return FamilyMatch(SmallFamily.SAITO_KUROKAWA_EVEN, claimed_pm)
-            if t.dual_type is SelfDualType.ORTHOGONAL and n % 2 == 1:
-                e = (n - 1) // 2
-                two_i = t.mult - 1
-                if e <= two_i <= 2 * e:
-                    _assert_small_eta(psi)
-                    return FamilyMatch(SmallFamily.SAITO_KUROKAWA_ODD, claimed_pm)
-
-    if len(summands) == 1:
-        t = summands[0]
-        if (
-            t.rank == 3
-            and t.dual_type is SelfDualType.ORTHOGONAL
-            and t.central_char.triviality is not Triviality.NONTRIVIAL
-        ):
-            _assert_small_eta(psi)
-            return FamilyMatch(SmallFamily.RANK3_TOWER, claimed_pm)
-
-    return none
+    _read_instance("parameter", psi, ArthurParameter)
+    n, summands = psi.n, psi.summands
+    by_rank = {s.rank: s for s in summands}
+    nontrivial = {s.rank for s in summands if s.central_char.triviality is Triviality.NONTRIVIAL}
+    # Saito-Kurokawa: a rank-2 summand t beside a rank-1 character.
+    t = by_rank.get(2) if len(summands) == 2 and 1 in by_rank else None
+    rows = (
+        (SmallFamily.SAITO_KUROKAWA_EVEN, t is not None and t.dual_type is SelfDualType.SYMPLECTIC
+         and n % 2 == 0 and n // 2 <= t.mult <= n and 1 not in nontrivial),
+        # 2i = mult - 1 lies between e and 2e, where n = 2e + 1.
+        (SmallFamily.SAITO_KUROKAWA_ODD, t is not None and t.dual_type is SelfDualType.ORTHOGONAL
+         and n % 2 == 1 and n // 2 <= t.mult - 1 <= n - 1),
+        # One summand of rank 3: orthogonal, since a symplectic one needs an even rank.
+        (SmallFamily.RANK3_TOWER, len(summands) == 1 and 3 in by_rank and 3 not in nontrivial),
+    )
+    family = next((family for family, fits in rows if fits), SmallFamily.NONE)
+    if family is SmallFamily.NONE or psi.is_generic():
+        return FamilyMatch(SmallFamily.NONE, None)
+    eta = psi.dual_partition()
+    if eta.part_at(0) > 3:
+        raise InternalInvariantViolation(
+            f"matched a small family but the dual partition {eta} has a part above 3"
+        )
+    return FamilyMatch(family, nonsingular_partition(GroupFamily.C, n))
 
 
 def hypercuspidal_existence(n: int, field: FieldKind) -> Existence:

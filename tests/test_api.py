@@ -41,6 +41,7 @@ from cuspcheck import (
     satake,
     satake_exponent_bound,
     scan,
+    small_family_match,
     smallrep,
     verdict,
 )
@@ -171,6 +172,7 @@ OBJECT_CALLS = {
     "SimpleParameter-central_char": lambda: SimpleParameter("a", 1, 3, SelfDualType.ORTHOGONAL, "chi"),
     "scan-ranges": lambda: scan("(1c,$b)", None),
     "scan-range": lambda: scan("(1c,$b)", [("b", 5)]),
+    "small_family_match": lambda: small_family_match("(3o,5)"),
 }
 
 
