@@ -256,6 +256,7 @@ def parse_parameter(text: str) -> ArthurParameter:
 
 def render_parameter(psi: ArthurParameter) -> str:
     """Canonical text form; auto-numbered labels are omitted."""
+    _read_instance("parameter", psi, ArthurParameter)
     pieces = []
     for idx, s in enumerate(psi.summands, start=1):
         typ = "c" if s.rank == 1 else ("s" if s.dual_type is SelfDualType.SYMPLECTIC else "o")

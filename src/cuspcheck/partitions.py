@@ -301,6 +301,8 @@ def dominance_le(p: Partition, q: Partition) -> bool:
     padding included: a chord below q at both ends stays below q in between.
     Past p's last run end, p's sums stay constant and q's do not fall.
     """
+    _read_instance("p", p, Partition)
+    _read_instance("q", q, Partition)
     q_runs = q._pairs()
     b, left = next(q_runs, (0, math.inf))  # q's current part, and its positions left
     pa = qa = 0
@@ -327,6 +329,8 @@ def lex_le(p: Partition, q: Partition) -> bool:
     padding; and a run list that is a prefix of the other is followed by
     padding alone.
     """
+    _read_instance("p", p, Partition)
+    _read_instance("q", q, Partition)
     return p._runs <= q._runs
 
 
@@ -372,6 +376,7 @@ def symplectic_collapse(p: Partition) -> Partition:
     Fixes symplectic inputs and is idempotent; verified against the
     brute-force dominance maximum in the test suite.
     """
+    _read_instance("partition", p, Partition)
     if p.weight % 2:
         raise InvalidWeight(f"symplectic collapse needs even weight, got {p.weight}")
     out = _collapse(p, 1)
@@ -403,6 +408,7 @@ def barbasch_vogan_dual(p: Partition) -> Partition:
     such inputs are rejected up front.  Results are cached by ``p``, so the
     cross-check runs once per distinct partition; errors are not cached.
     """
+    _read_instance("partition", p, Partition)
     if p.weight % 2 == 0:
         raise InvalidWeight(f"duality needs odd weight, got {p.weight}")
     if not p.is_orthogonal():
@@ -439,6 +445,7 @@ def is_special(p: Partition, family: GroupFamily) -> bool:
     transpose is symplectic.  Validated against the brute-force duality-image
     characterization for type C and the known small verdicts for B/D.
     """
+    _read_instance("partition", p, Partition)
     family = _read_enum(GroupFamily, family)
     _require_admissible(p, family)
     t = p.transpose()
@@ -455,6 +462,7 @@ def expansion(p: Partition, family: GroupFamily) -> Partition:
     symplectic collapse for C and D.  Verified against the brute-force
     dominance minimum in the test suite.
     """
+    _read_instance("partition", p, Partition)
     family = _read_enum(GroupFamily, family)
     _require_admissible(p, family)
     out = _collapse(p.transpose(), 0 if family is GroupFamily.B else 1).transpose()
@@ -471,6 +479,7 @@ def is_grs_admissible(p: Partition) -> bool:
     This is the shape forced on the leading even wave-front partition of a
     cuspidal representation over a totally imaginary field.
     """
+    _read_instance("partition", p, Partition)
     return all(v % 2 == 0 and 1 <= m <= 4 for v, m in p.exponents())
 
 
