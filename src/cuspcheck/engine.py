@@ -146,7 +146,7 @@ def rank_only_bound(ranks: Sequence[int]) -> int:
     With A the rank sum: A^2 + 2A when A is even, A^2 - 1 when A is odd
     (four rows of each even value up to the largest possible first part).
     """
-    if not ranks:
+    if not _read_instance("ranks", ranks, Sequence):
         raise InvalidArgument("rank tuple must be nonempty")
     a = sum(_read_count("rank", r) for r in ranks)
     return _tail_weight(a - a % 2)
@@ -368,7 +368,10 @@ def scan(
     """
     field = _read_enum(FieldKind, field)
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
-    names = [_read_instance("slot name", name, str) for name, _ in _read_instance("ranges", ranges, Sequence)]
+    for entry in _read_instance("ranges", ranges, Sequence):
+        if not isinstance(entry, Sequence) or len(entry) != 2:
+            raise InvalidArgument(f"each entry of ranges must be a (slot name, values) pair, got {entry!r}")
+    names = [_read_instance("slot name", name, str) for name, _ in ranges]
     if len(set(names)) != len(names):
         raise InvalidArgument("duplicate slot name in ranges")
     compiled = Template(_read_instance("template", template, str))

@@ -8,13 +8,14 @@ the ground-field hypothesis; everything is computed in exact rationals (the
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .engine import FieldKind
 from .errors import InvalidArgument
-from .partitions import _read_count, _read_enum
+from .partitions import _read_count, _read_enum, _read_instance
 
 __all__ = ["ThetaBound", "satake_exponent_bound", "check_r_theta"]
 
@@ -60,7 +61,7 @@ def check_r_theta(exponents: Iterable[Rational], theta: Rational) -> bool:
     is not the rational it was written as (0.1 > 1/10), so it raises
     :class:`InvalidArgument`, as anything else does.
     """
-    values = [theta, *exponents]
+    values = [theta, *_read_instance("exponents", exponents, Iterable)]
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise InvalidArgument(f"exponents and theta must be an int or a Fraction, got {v!r}")

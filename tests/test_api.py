@@ -23,26 +23,33 @@ from cuspcheck import (
     Status,
     Triviality,
     arthur,
+    barbasch_vogan_dual,
     bounds,
+    check_r_theta,
     conjectured_so_lower_bound,
+    dominance_le,
     engine,
     errors,
     expansion,
     grs_max_weight,
     grs_minimal_partition,
     hypercuspidal_existence,
+    is_grs_admissible,
     is_special,
+    lex_le,
     nonsingular_partition,
     parse_parameter,
     parse_partition,
     partitions,
     partitions_of,
     rank_only_bound,
+    render_parameter,
     satake,
     satake_exponent_bound,
     scan,
     small_family_match,
     smallrep,
+    symplectic_collapse,
     verdict,
 )
 
@@ -173,6 +180,21 @@ OBJECT_CALLS = {
     "scan-ranges": lambda: scan("(1c,$b)", None),
     "scan-range": lambda: scan("(1c,$b)", [("b", 5)]),
     "small_family_match": lambda: small_family_match("(3o,5)"),
+    "render_parameter": lambda: render_parameter("(3o,5)"),
+    "symplectic_collapse": lambda: symplectic_collapse([2, 2]),
+    "dominance_le-p": lambda: dominance_le([1], Partition([1])),
+    "dominance_le-q": lambda: dominance_le(Partition([1]), [1]),
+    "lex_le-p": lambda: lex_le([1], Partition([1])),
+    "lex_le-q": lambda: lex_le(Partition([1]), [1]),
+    "is_special": lambda: is_special([2, 2], "sp"),
+    "expansion": lambda: expansion([2, 2], "sp"),
+    "is_grs_admissible": lambda: is_grs_admissible([4, 2]),
+    # A tuple and None hash, so they reach the body through the cache; a list
+    # does not, and its TypeError comes from the cache itself.
+    "barbasch_vogan_dual-tuple": lambda: barbasch_vogan_dual((3, 1, 1)),
+    "barbasch_vogan_dual-none": lambda: barbasch_vogan_dual(None),
+    "rank_only_bound": lambda: rank_only_bound(5),
+    "check_r_theta": lambda: check_r_theta(5, 1),
 }
 
 

@@ -253,6 +253,11 @@ class TestScan:
         with pytest.raises(InvalidArgument, match="duplicate slot name"):
             scan("(1c,$b)+(2s,2)", [("b", [1]), ("b", [3])])
 
+    def test_range_entry_that_is_not_a_pair_rejected(self):
+        for bad in (["b"], [("b", [1], 2)], [5]):
+            with pytest.raises(InvalidArgument, match=r"each entry of ranges must be a \(slot name, values\) pair"):
+                scan("(1c,$b)", bad)
+
     def test_malformed_template_rejected(self):
         for bad in ["(1c,$1)+(2s,$b)", "(1c,$b)+(2s,2)$", "(1c,${b)+(2s,2)"]:
             with pytest.raises(InvalidArgument, match="malformed placeholder"):
