@@ -12,6 +12,7 @@ from cuspcheck import (
     GroupFamily,
     InvalidArgument,
     Partition,
+    SelfDualType,
     SimpleParameter,
     SmallFamily,
     Triviality,
@@ -240,8 +241,6 @@ class TestSmallFamilyMatch:
         assert seen > 0
 
     def test_nontrivial_character_disqualifies_trivial_slot(self):
-        from cuspcheck import ArthurParameter, CharacterLabel, SelfDualType, SimpleParameter, Triviality
-
         psi = ArthurParameter(
             [
                 SimpleParameter("tau", 2, 4, SelfDualType.SYMPLECTIC),
