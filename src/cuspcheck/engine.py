@@ -24,7 +24,7 @@ from .errors import (
     InternalInvariantViolation,
     InvalidArgument,
 )
-from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_instance, is_grs_admissible
+from .partitions import _CACHE_ENTRIES, Partition, _read_count, _read_enum, _read_instance
 
 __all__ = [
     "FieldKind",
@@ -163,28 +163,27 @@ def _max_grs_lex(eta: Partition) -> tuple[int, Partition]:
     """Maximal-weight admissible partition lexicographically below eta.
 
     A candidate either equals eta, or copies a prefix of eta and then drops
-    strictly below it; after dropping, the lexicographic constraint is slack,
-    so the best continuation packs four copies of every even value below the
-    next part of eta.  A feasible prefix ends inside at most the first five
-    copies of a run, so there are O(runs) candidates, each kept as (weight,
-    runs copied, copies of the next run, tail top).  A longer prefix agrees
-    with eta for longer, so it is lexicographically larger, and eta is the
-    largest of all: the heaviest candidate with the longest prefix is the
+    strictly below it, after which the best continuation packs four copies of
+    every even value below the next part of eta.  Each run gives one
+    candidate (weight, runs copied, copies of the next run, tail top), and
+    eta gives one when it is admissible.  A longer prefix is lexicographically
+    larger, so the heaviest candidate with the longest prefix is the
     witness, and only it is built.
     """
     runs = tuple(eta.exponents())
-    candidates = [(eta.weight, len(runs), 0, 0)] if is_grs_admissible(eta) else []
-    prefix_weight = 0
+    candidates, prefix_weight = [], 0
     for i, (u, m) in enumerate(runs):
         # Tails must stay strictly below u: top is the largest even value < u.
         top = u - 2 if u % 2 == 0 else u - 1
-        # The prefix may go on with k copies of an even u, up to four, and
-        # fewer than m (all m carry on to the next run); an odd u, none.
-        for k in range(min(m, 5) if u % 2 == 0 else 1):
-            candidates.append((prefix_weight + k * u + _tail_weight(top), i, k, top))
+        # Most copies of u the prefix may keep: fewer than m (all m carry on),
+        # at most four, none of an odd u; fewer copies only weigh less.
+        k = 0 if u % 2 else min(m - 1, 4)
+        candidates.append((prefix_weight + k * u + _tail_weight(top), i, k, top))
         if u % 2 or m > 4:
             break
         prefix_weight += u * m
+    else:  # every run is even with at most four copies: eta is admissible
+        candidates.append((eta.weight, len(runs), 0, 0))
     weight, i, k, top = max(candidates)
     head = runs[:i] + (((runs[i][0], k),) if k else ())
     return weight, Partition._from_runs(head + tuple((v, 4) for v in range(top, 0, -2)))
