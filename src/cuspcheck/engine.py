@@ -361,7 +361,8 @@ def scan(
     reported with status Invalid rather than dropped.  The template, the
     ranges, the slot names and the grid size are checked when ``scan`` is
     called; a grid of more than ``_MAX_SCAN_CELLS`` cells is rejected before
-    any cell is built.  Each cell is evaluated only when the returned
+    any cell is built, and so is a slot value that is not an ``int`` (a
+    negative one gives an Invalid cell).  Each cell is evaluated only when the returned
     iterator reaches it, so a caller that streams the cells never holds the
     whole grid.
     """
@@ -385,6 +386,12 @@ def scan(
         cells = math.inf
     if cells > _MAX_SCAN_CELLS:
         raise InvalidArgument(f"the scan grid has more than {_MAX_SCAN_CELLS} cells")
+    if not cells:  # product() would still copy every other range
+        return iter(())
+    for name, vals in ranges:
+        for value in vals:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidArgument(f"values of slot {name} must be integers, got {value!r}")
 
     def evaluate(combo: tuple[int, ...]) -> ScanCell:
         cell_slots = tuple(zip(names, combo))

@@ -276,6 +276,25 @@ class TestScan:
             with pytest.raises(InvalidArgument, match="more than 100000 cells"):
                 scan("(1c,$b1)+(2s,$b2)", ranges)
 
+    @pytest.mark.parametrize(
+        "values",
+        ["13", ["3)+(2s,4"], [True], [3.0]],
+        ids=["digits-as-text", "spliced-text", "bool", "float"],
+    )
+    def test_slot_value_that_is_not_an_int_rejected(self, values):
+        # Text would be spliced into the template: "13" walks "1" and "3",
+        # and "3)+(2s,4" adds a summand.
+        with pytest.raises(InvalidArgument, match="values of slot b must be integers"):
+            scan("(1c,$b)+(2s,2)", [("b", values)])
+
+    def test_negative_slot_value_is_an_invalid_cell(self):
+        (cell,) = scan("(1c,$b)+(2s,2)", [("b", [-3])])
+        assert cell.status_text == "Invalid"
+
+    def test_empty_range_copies_no_other_range(self):
+        # The other range is far too long to hold, and no cell needs it.
+        assert list(scan("(1c,$b1)+(2s,$b2)", [("b1", []), ("b2", range(1, 10**18))])) == []
+
     def test_cells_are_evaluated_lazily(self, monkeypatch):
         calls = []
         original = engine.verdict
