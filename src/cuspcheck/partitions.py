@@ -395,7 +395,6 @@ def _dual_transpose_then_collapse(p: Partition) -> Partition:
     return symplectic_collapse(p.transpose().decrement())
 
 
-@lru_cache(maxsize=_CACHE_ENTRIES)
 def barbasch_vogan_dual(p: Partition) -> Partition:
     """Dual of an orthogonal partition of 2n+1: a symplectic partition of 2n.
 
@@ -405,10 +404,16 @@ def barbasch_vogan_dual(p: Partition) -> Partition:
     orbits, and the only ones produced by Arthur parameters); both are
     evaluated here and cross-checked.  Outside the orthogonal domain the two
     recipes genuinely diverge (e.g. on [2 1^3] they give [3 1] and [4]), so
-    such inputs are rejected up front.  Results are cached by ``p``, so the
-    cross-check runs once per distinct partition; errors are not cached.
+    such inputs are rejected up front.  Results are cached by ``p`` in
+    ``_barbasch_vogan_dual``, so the cross-check runs once per distinct
+    partition; errors are not cached.  ``p`` is checked before the cache
+    hashes it.
     """
-    _read_instance("partition", p, Partition)
+    return _barbasch_vogan_dual(_read_instance("partition", p, Partition))
+
+
+@lru_cache(maxsize=_CACHE_ENTRIES)
+def _barbasch_vogan_dual(p: Partition) -> Partition:
     if p.weight % 2 == 0:
         raise InvalidWeight(f"duality needs odd weight, got {p.weight}")
     if not p.is_orthogonal():

@@ -189,8 +189,8 @@ OBJECT_CALLS = {
     "is_special": lambda: is_special([2, 2], "sp"),
     "expansion": lambda: expansion([2, 2], "sp"),
     "is_grs_admissible": lambda: is_grs_admissible([4, 2]),
-    # A tuple and None hash, so they reach the body through the cache; a list
-    # does not, and its TypeError comes from the cache itself.
+    # A list does not hash: it is checked before the cache sees it.
+    "barbasch_vogan_dual-list": lambda: barbasch_vogan_dual([3, 1, 1]),
     "barbasch_vogan_dual-tuple": lambda: barbasch_vogan_dual((3, 1, 1)),
     "barbasch_vogan_dual-none": lambda: barbasch_vogan_dual(None),
     "rank_only_bound": lambda: rank_only_bound(5),

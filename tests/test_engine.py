@@ -138,7 +138,7 @@ class TestVerdict:
 
             return wrapper
 
-        cuspcheck.partitions.barbasch_vogan_dual.cache_clear()
+        cuspcheck.partitions._barbasch_vogan_dual.cache_clear()
         dual = counted("dual", cuspcheck.partitions.barbasch_vogan_dual)
         monkeypatch.setattr(cuspcheck.arthur, "barbasch_vogan_dual", dual)
         monkeypatch.setattr(cuspcheck.partitions, "barbasch_vogan_dual", dual)
