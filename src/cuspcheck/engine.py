@@ -362,9 +362,9 @@ def scan(
     ranges, the slot names and the grid size are checked when ``scan`` is
     called; a grid of more than ``_MAX_SCAN_CELLS`` cells is rejected before
     any cell is built, and so is a slot value that is not an ``int`` (a
-    negative one gives an Invalid cell).  Each cell is evaluated only when the returned
-    iterator reaches it, so a caller that streams the cells never holds the
-    whole grid.
+    negative one gives an Invalid cell).  Each cell is evaluated only when
+    the returned iterator reaches it, so a caller that streams the cells
+    never holds the whole grid.
     """
     field = _read_enum(FieldKind, field)
     active = frozenset([_read_enum(Assumption, a) for a in assumptions])
