@@ -237,11 +237,13 @@ class TestScan:
         assert list(scan("(1c,$b)+(2s,2)", [("b", [])])) == []
 
     def test_invalid_cells_reported(self):
-        cells = scan("(1c,$b)+(2s,2)", [("b", [1, 2])])
+        cells = scan("(1c,$b)+(2s,2)", [("b", [1, 2, -3])])
         by_b = {dict(c.slots)["b"]: c for c in cells}
         assert by_b[1].status_text == "Undetermined"
         assert by_b[2].status_text == "Invalid"
         assert "odd multiplicity" in (by_b[2].error or "")
+        # A negative int is an integer slot value: its cell is Invalid.
+        assert by_b[-3].status_text == "Invalid"
 
     def test_slot_mismatch_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -286,10 +288,6 @@ class TestScan:
         # and "3)+(2s,4" adds a summand.
         with pytest.raises(InvalidArgument, match="values of slot b must be integers"):
             scan("(1c,$b)+(2s,2)", [("b", values)])
-
-    def test_negative_slot_value_is_an_invalid_cell(self):
-        (cell,) = scan("(1c,$b)+(2s,2)", [("b", [-3])])
-        assert cell.status_text == "Invalid"
 
     def test_empty_range_copies_no_other_range(self):
         # The other range is far too long to hold, and no cell needs it.

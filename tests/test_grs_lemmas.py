@@ -55,10 +55,6 @@ def test_l2_chain_up_to_2000():
     assert check_l2(2000) == 999
 
 
-def symplectic_partitions(max_weight: int) -> list[Partition]:
-    return [p for w in range(2, max_weight + 1, 2) for p in oracles.all_partitions(w) if p.is_symplectic()]
-
-
 def largest_dominated_weight(eta: Partition) -> int:
     """The largest even ``w <= |eta|`` with ``mu(w)`` dominated by ``eta``, by
     bisection: by L2 the ``w`` that qualify are the even ones up to it."""
@@ -73,7 +69,7 @@ def largest_dominated_weight(eta: Partition) -> int:
 
 
 def test_r5_and_r6_are_order_tests_up_to_28():
-    etas = symplectic_partitions(28)
+    etas = [p for w in range(2, 29, 2) for p in oracles.all_partitions(w) if p.is_symplectic()]
     assert len(etas) == 3258
     r5 = r6 = 0
     for eta in etas:
